@@ -2,10 +2,10 @@
 //!
 //! Measures synthetic-environment steps per second for the inner policy
 //! loop's hot path — exploratory action, model step, replay observe — in
-//! the original sequential mode and in lockstep mode at several lane
-//! counts. Writes `BENCH_rollout.json` at the repository root (next to
-//! `BENCH_nn.json`) and a telemetry stream to
-//! `results/rollout_throughput.jsonl`.
+//! a one-rollout-at-a-time `SyntheticEnv` loop and in the trainer's
+//! lockstep loop at several lane counts. Writes `BENCH_rollout.json` at
+//! the repository root (next to `BENCH_nn.json`) and a telemetry stream
+//! to `results/rollout_throughput.jsonl`.
 //!
 //! Usage: `rollout_throughput [--seed N] [--smoke] [--steps N]`
 //! (`--steps` is the per-mode environment-step budget).
@@ -13,10 +13,9 @@
 use std::time::Instant;
 
 use miras_bench::{drain_dataset, init_telemetry, time_sequential_rollouts};
-use miras_core::{
-    BatchedSyntheticEnv, DynamicsModel, MirasConfig, RefinedModel, TransitionDataset,
-};
-use rl::Ddpg;
+use miras_core::distributed::{run_distributed_rollouts, DistributedParams};
+use miras_core::{DynamicsModel, MirasConfig, RefinedModel, TransitionDataset};
+use rl::{Ddpg, TrainHealth};
 use serde::Serialize;
 use telemetry::Value;
 
@@ -76,43 +75,40 @@ fn run_sequential(
     }
 }
 
-/// Times the lockstep rollout path at `lanes` lanes:
-/// `act_exploratory_batch` → `BatchedSyntheticEnv::step` → `observe_batch`.
+/// Times the trainer's lockstep loop — `run_distributed_rollouts` at one
+/// worker with updates off, so each step is `act_exploratory_batch` →
+/// `BatchedSyntheticEnv::step` → `observe_batch` — over `params.rollouts`
+/// rollouts, after a one-wave warm-up.
 fn run_lockstep(
     refined: &RefinedModel,
     data: &TransitionDataset,
-    budget: usize,
     agent: &mut Ddpg,
-    lanes: usize,
-    rollout_len: usize,
-    env_steps: usize,
+    params: &DistributedParams,
     telemetry: &telemetry::Telemetry,
 ) -> ModeResult {
-    let mut env = BatchedSyntheticEnv::new(refined.clone(), data.clone(), budget, 99, lanes);
-    env.set_telemetry(telemetry.clone());
-    let waves = (env_steps / (lanes * rollout_len)).max(1);
-    let mut prev = nn::Matrix::zeros(0, 0);
-    let mut step_wave = |env: &mut BatchedSyntheticEnv, agent: &mut Ddpg| {
-        env.reset(lanes);
-        agent.resample_perturbation();
-        for _ in 0..rollout_len {
-            prev.resize(env.states().rows(), env.states().cols());
-            prev.as_mut_slice().copy_from_slice(env.states().as_slice());
-            let actions = agent.act_exploratory_batch(&prev);
-            env.step(&actions);
-            agent.observe_batch(&prev, &actions, env.rewards(), env.states());
-        }
+    let mut health = TrainHealth::default_policy();
+    let warm_up = DistributedParams {
+        rollouts: params.lanes,
+        ..params.clone()
     };
-    step_wave(&mut env, agent); // warm-up
+    run_distributed_rollouts(
+        agent,
+        refined.clone(),
+        data,
+        &warm_up,
+        &mut health,
+        &telemetry::Telemetry::noop(),
+    )
+    .expect("warm-up rollouts never train, so they cannot trip the watchdog");
     let start = Instant::now();
-    for _ in 0..waves {
-        step_wave(&mut env, agent);
-    }
+    let outcome =
+        run_distributed_rollouts(agent, refined.clone(), data, params, &mut health, telemetry)
+            .expect("observe-only rollouts cannot trip the watchdog");
     let secs = start.elapsed().as_secs_f64();
-    let steps = waves * lanes * rollout_len;
+    let steps = outcome.env_steps as usize;
     ModeResult {
         mode: "lockstep".to_string(),
-        lanes,
+        lanes: params.lanes,
         env_steps: steps,
         secs,
         steps_per_sec: steps as f64 / secs,
@@ -218,16 +214,16 @@ fn main() {
     }
     for lanes in LANE_SWEEP {
         let mut agent = Ddpg::new(j, j, config.ddpg.clone());
-        let r = run_lockstep(
-            &refined,
-            &data,
-            budget,
-            &mut agent,
+        let params = DistributedParams {
+            workers: 1,
             lanes,
             rollout_len,
-            env_steps,
-            &telemetry,
-        );
+            rollouts: (env_steps / (lanes * rollout_len)).max(1) * lanes,
+            consumer_budget: budget,
+            synth_seed: 99,
+            ..DistributedParams::default()
+        };
+        let r = run_lockstep(&refined, &data, &mut agent, &params, &telemetry);
         eprintln!(
             "[rollout] {:>10} lanes={:<3} {:>9.0} steps/s",
             r.mode, r.lanes, r.steps_per_sec

@@ -5,19 +5,20 @@ use rl::{DdpgConfig, Exploration};
 use serde::{Deserialize, Serialize};
 
 /// How the inner policy loop of Algorithm 2 executes its synthetic rollouts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+///
+/// Both modes run one loop
+/// ([`run_distributed_rollouts`](crate::distributed::run_distributed_rollouts)):
+/// `Lockstep(lanes)` is its one-worker case on the calling thread, and
+/// `Distributed { workers: 1, lanes }` is bit-identical to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RolloutMode {
-    /// One rollout at a time, one model forward per step (the original
-    /// loop). The reference semantics every other mode is measured against.
-    #[default]
-    Sequential,
     /// `B` rollout lanes stepped in lockstep through batched model and
     /// actor forwards (see
-    /// [`BatchedSyntheticEnv`](crate::BatchedSyntheticEnv)). `Lockstep(1)`
-    /// is bit-identical to [`RolloutMode::Sequential`]; wider batches are
-    /// deterministic but consume exploration randomness in a different
-    /// order, so they are a *throughput* option, not a replay of the
-    /// sequential run.
+    /// [`BatchedSyntheticEnv`](crate::BatchedSyntheticEnv)), with one DDPG
+    /// train step per lane per step. `Lockstep(1)`, the default, trains on
+    /// one synthetic rollout at a time. Wider batches are deterministic
+    /// but consume exploration randomness in a different order, so they
+    /// are a *throughput* option, not a replay of the one-lane run.
     Lockstep(usize),
     /// Actor–learner scale-out: `workers` asynchronous rollout workers,
     /// each stepping its own `lanes`-lane [`BatchedSyntheticEnv`] under a
@@ -25,10 +26,10 @@ pub enum RolloutMode {
     /// the central learner drains in a fixed order (see the
     /// [`distributed`](crate::distributed) module).
     ///
-    /// `Distributed { workers: 1, lanes }` degenerates to the lockstep loop
-    /// with the environment hosted on a worker thread and is bit-identical
-    /// to `Lockstep(lanes)`. With `workers ≥ 2` the run is deterministic
-    /// given its recorded version schedule
+    /// `Distributed { workers: 1, lanes }` runs the `Lockstep(lanes)` loop
+    /// itself and records its degenerate version schedule. With
+    /// `workers ≥ 2` the run is deterministic given its recorded version
+    /// schedule
     /// ([`MirasTrainer::last_version_schedule`](crate::MirasTrainer::last_version_schedule)):
     /// replaying the schedule reproduces the run bit for bit.
     ///
@@ -43,6 +44,32 @@ pub enum RolloutMode {
         /// Lockstep lanes per worker.
         lanes: usize,
     },
+}
+
+impl Default for RolloutMode {
+    fn default() -> Self {
+        RolloutMode::Lockstep(1)
+    }
+}
+
+impl<'de> Deserialize<'de> for RolloutMode {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        /// Every serialized form, including `Sequential`, which checkpoints
+        /// and configs written by earlier versions carry. It named a
+        /// one-rollout-at-a-time loop that trained bit-identically to
+        /// `Lockstep(1)`, so it loads as that.
+        #[derive(Deserialize)]
+        enum Stored {
+            Sequential,
+            Lockstep(usize),
+            Distributed { workers: usize, lanes: usize },
+        }
+        Ok(match Stored::deserialize(deserializer)? {
+            Stored::Sequential => RolloutMode::Lockstep(1),
+            Stored::Lockstep(lanes) => RolloutMode::Lockstep(lanes),
+            Stored::Distributed { workers, lanes } => RolloutMode::Distributed { workers, lanes },
+        })
+    }
 }
 
 /// Hyper-parameters of the full MIRAS pipeline (model + policy + loop).
@@ -106,7 +133,7 @@ pub struct MirasConfig {
     /// DDPG hyper-parameters.
     pub ddpg: DdpgConfig,
     /// How the inner loop's synthetic rollouts execute. Defaults to
-    /// [`RolloutMode::Sequential`]; absent in older checkpoints/configs,
+    /// `RolloutMode::Lockstep(1)`; absent in older checkpoints/configs,
     /// hence the serde default.
     #[serde(default)]
     pub rollout_mode: RolloutMode,
@@ -135,7 +162,7 @@ impl MirasConfig {
             random_action_fraction: 0.1,
             collect_burst_max: Some(vec![400, 250, 400]),
             ddpg: DdpgConfig::paper(256, seed),
-            rollout_mode: RolloutMode::Sequential,
+            rollout_mode: RolloutMode::Lockstep(1),
             seed,
         }
     }
@@ -167,7 +194,7 @@ impl MirasConfig {
                 d.entropy_weight = 4.0;
                 d
             },
-            rollout_mode: RolloutMode::Sequential,
+            rollout_mode: RolloutMode::Lockstep(1),
             seed,
         }
     }
@@ -248,7 +275,7 @@ impl MirasConfig {
             random_action_fraction: 0.1,
             collect_burst_max: None,
             ddpg,
-            rollout_mode: RolloutMode::Sequential,
+            rollout_mode: RolloutMode::Lockstep(1),
             seed,
         }
     }
@@ -455,6 +482,38 @@ mod tests {
         assert!(matches!(err, ConfigError::Miras { .. }));
         let ok = MirasConfig::smoke_test(0).try_with_lockstep(4).unwrap();
         assert_eq!(ok.rollout_mode, RolloutMode::Lockstep(4));
+    }
+
+    #[test]
+    fn rollout_mode_json_round_trips_and_loads_legacy_forms() {
+        for mode in [
+            RolloutMode::Lockstep(1),
+            RolloutMode::Lockstep(4),
+            RolloutMode::Distributed {
+                workers: 2,
+                lanes: 3,
+            },
+        ] {
+            let json = serde_json::to_string(&mode).unwrap();
+            assert_eq!(serde_json::from_str::<RolloutMode>(&json).unwrap(), mode);
+        }
+        let config = MirasConfig::smoke_test(0);
+        let json = serde_json::to_string(&config).unwrap();
+        let current = r#""rollout_mode":{"Lockstep":1}"#;
+        assert_eq!(json.matches(current).count(), 1);
+        // Configs written before the `Sequential` mode was removed, and
+        // before `rollout_mode` existed at all.
+        for legacy in [
+            json.replace(current, r#""rollout_mode":"Sequential""#),
+            json.replace(&format!("{current},"), ""),
+        ] {
+            assert_ne!(legacy, json);
+            assert_eq!(
+                serde_json::from_str::<MirasConfig>(&legacy).unwrap(),
+                config
+            );
+        }
+        assert!(serde_json::from_str::<RolloutMode>(r#""Batched""#).is_err());
     }
 
     #[test]

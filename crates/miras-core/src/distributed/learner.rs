@@ -1,7 +1,7 @@
 //! The central learner: ordered shard merge, DDPG updates, version
-//! broadcast — plus the `workers = 1` synchronous base case.
+//! broadcast — plus the `workers = 1` lockstep loop, which runs on the
+//! calling thread.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 use nn::Matrix;
@@ -32,8 +32,9 @@ pub struct WorkerFault {
 /// state ([`run_distributed_rollouts`] borrows the agent and watchdog).
 #[derive(Debug, Clone, Default)]
 pub struct DistributedParams {
-    /// Rollout worker count (`1` selects the synchronous lockstep-exact
-    /// path, `≥ 2` the async frozen-version path).
+    /// Rollout worker count: `1` runs the lockstep loop on the calling
+    /// thread (the trainer's `Lockstep(lanes)` mode), `≥ 2` the async
+    /// frozen-version path.
     pub workers: usize,
     /// Lockstep lanes per worker.
     pub lanes: usize,
@@ -117,29 +118,21 @@ pub fn run_distributed_rollouts(
         );
     }
     if params.workers == 1 {
-        sync_rollouts(agent, refined, dataset, params, health, telemetry)
+        lockstep_rollouts(agent, refined, dataset, params, health, telemetry)
     } else {
         async_rollouts(agent, refined, dataset, params, health, telemetry)
     }
 }
 
-/// Remote-environment request/reply protocol of the synchronous path.
-enum EnvRequest {
-    Reset { active: usize },
-    Step { actions: Matrix },
-}
-
-struct EnvReply {
-    states: Matrix,
-    rewards: Vec<f64>,
-}
-
-/// The `workers = 1` path: the learner executes the exact lockstep
-/// inner-loop body — live agent acting (normaliser updates, parameter
-/// noise ticking and adapting mid-wave) and per-step train steps — with
-/// the environment hosted on the worker thread behind a request/reply
-/// channel. Bit-identical to `Lockstep(lanes)` by construction.
-fn sync_rollouts(
+/// The `workers = 1` path, which is also the trainer's `Lockstep(lanes)`
+/// loop: the live agent acts on a `lanes`-wide [`BatchedSyntheticEnv`]
+/// stepped on the calling thread — normaliser updates, parameter noise
+/// ticking and adapting mid-wave — and runs one train step per active lane
+/// per environment step. Early-stop patience is applied to completed-lane
+/// returns in lane order. With one lane every RNG stream is consumed in
+/// the order of a one-rollout-at-a-time loop over a
+/// [`SyntheticEnv`](crate::SyntheticEnv).
+fn lockstep_rollouts(
     agent: &mut Ddpg,
     refined: RefinedModel,
     dataset: &TransitionDataset,
@@ -147,93 +140,14 @@ fn sync_rollouts(
     health: &mut TrainHealth,
     telemetry: &Telemetry,
 ) -> Result<DistributedOutcome, TrainError> {
-    let (req_tx, req_rx) = channel::<EnvRequest>();
-    let (rep_tx, rep_rx) = channel::<EnvReply>();
-    let dataset = dataset.clone();
-    let env_telemetry = telemetry.clone();
-    let lanes = params.lanes;
-    let consumer_budget = params.consumer_budget;
-    let synth_seed = params.synth_seed;
-
-    std::thread::scope(|scope| {
-        let env_thread = scope.spawn(move || {
-            env_host(
-                refined,
-                dataset,
-                consumer_budget,
-                synth_seed,
-                lanes,
-                env_telemetry,
-                &req_rx,
-                &rep_tx,
-            )
-        });
-        let result = sync_learner_loop(agent, params, health, telemetry, &req_tx, &rep_rx);
-        // Hang up so the env host exits, then collect its trigger count.
-        drop(req_tx);
-        let lend_triggers = env_thread.join().expect("environment host panicked");
-        result.map(|mut outcome| {
-            outcome.lend_triggers = lend_triggers;
-            outcome
-        })
-    })
-}
-
-/// The environment host thread of the synchronous path: owns the batched
-/// env, serves reset/step requests until the learner hangs up, and returns
-/// the accumulated Lend-trigger count.
-#[allow(clippy::too_many_arguments)]
-fn env_host(
-    refined: RefinedModel,
-    dataset: TransitionDataset,
-    consumer_budget: usize,
-    synth_seed: u64,
-    lanes: usize,
-    telemetry: Telemetry,
-    req_rx: &Receiver<EnvRequest>,
-    rep_tx: &Sender<EnvReply>,
-) -> u64 {
-    nn::threads::with_serial(|| {
-        let mut env =
-            BatchedSyntheticEnv::new(refined, dataset, consumer_budget, synth_seed, lanes);
-        env.set_telemetry(telemetry);
-        while let Ok(req) = req_rx.recv() {
-            let reply = match req {
-                EnvRequest::Reset { active } => {
-                    env.reset(active);
-                    EnvReply {
-                        states: env.states().clone(),
-                        rewards: Vec::new(),
-                    }
-                }
-                EnvRequest::Step { actions } => {
-                    let rewards = env.step(&actions).to_vec();
-                    EnvReply {
-                        states: env.states().clone(),
-                        rewards,
-                    }
-                }
-            };
-            if rep_tx.send(reply).is_err() {
-                break;
-            }
-        }
-        env.lend_triggers()
-    })
-}
-
-fn sync_learner_loop(
-    agent: &mut Ddpg,
-    params: &DistributedParams,
-    health: &mut TrainHealth,
-    telemetry: &Telemetry,
-    req_tx: &Sender<EnvRequest>,
-    rep_rx: &Receiver<EnvReply>,
-) -> Result<DistributedOutcome, TrainError> {
-    let request = |req: EnvRequest| -> EnvReply {
-        req_tx.send(req).expect("environment host hung up");
-        rep_rx.recv().expect("environment host hung up")
-    };
+    let mut env = BatchedSyntheticEnv::new(
+        refined,
+        dataset.clone(),
+        params.consumer_budget,
+        params.synth_seed,
+        params.lanes,
+    );
+    env.set_telemetry(telemetry.clone());
     let mut returns = Vec::new();
     let mut best = f64::NEG_INFINITY;
     let mut stale = 0usize;
@@ -245,21 +159,25 @@ fn sync_learner_loop(
         lanes: params.lanes,
         entries: Vec::new(),
     };
+    // The step swaps the env's state buffers, so the pre-step states the
+    // replay transitions need are copied out first.
+    let mut states = Matrix::zeros(0, 0);
     let mut totals: Vec<f64> = Vec::with_capacity(params.lanes);
-    let mut wave = 0usize;
     'waves: while remaining > 0 {
         let active = params.lanes.min(remaining);
-        let mut states = request(EnvRequest::Reset { active }).states;
+        env.reset(active);
         agent.resample_perturbation();
         totals.clear();
         totals.resize(active, 0.0);
         for _ in 0..params.rollout_len {
+            states.resize(active, env.state_dim());
+            states
+                .as_mut_slice()
+                .copy_from_slice(env.states().as_slice());
             let actions = agent.act_exploratory_batch(&states);
-            let reply = request(EnvRequest::Step {
-                actions: actions.clone(),
-            });
-            agent.observe_batch(&states, &actions, &reply.rewards, &reply.states);
-            for (t, &r) in totals.iter_mut().zip(&reply.rewards) {
+            env.step(&actions);
+            agent.observe_batch(&states, &actions, env.rewards(), env.states());
+            for (t, &r) in totals.iter_mut().zip(env.rewards()) {
                 *t += r;
             }
             if params.train {
@@ -267,11 +185,11 @@ fn sync_learner_loop(
                     let _ = agent.try_train_step(health)?;
                 }
             }
-            states = reply.states;
         }
         env_steps += (params.rollout_len * active) as u64;
         // One worker has nothing to lag behind: every wave uses the
         // freshest weights, recorded as version = wave for the manifest.
+        let wave = schedule.entries.len();
         schedule.entries.push(WaveEntry {
             worker: 0,
             wave,
@@ -287,7 +205,6 @@ fn sync_learner_loop(
                 params.rollout_len * active,
             );
         }
-        wave += 1;
         for &total in &totals {
             returns.push(total);
             rollouts_run += 1;
@@ -311,7 +228,7 @@ fn sync_learner_loop(
     Ok(DistributedOutcome {
         returns,
         rollouts_run,
-        lend_triggers: 0, // filled in by the caller from the env host
+        lend_triggers: env.lend_triggers(),
         schedule,
         env_steps,
         worker_restarts: 0,

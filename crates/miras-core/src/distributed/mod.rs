@@ -49,12 +49,15 @@
 //!
 //! # The `workers = 1` base case
 //!
-//! With a single worker there is no version lag to record: the learner
-//! runs the exact lockstep inner-loop body with the environment hosted on
-//! the worker thread behind a request/reply channel. A
-//! `Distributed { workers: 1, lanes }` run is therefore **bit-identical**
-//! to `Lockstep(lanes)` — the same base-case discipline PR 4 used
-//! (`Lockstep(1)` ≡ `Sequential`). With `workers ≥ 2` workers act on
+//! With a single worker there is no version lag to record and no thread
+//! to spawn: the learner steps one `lanes`-wide
+//! [`BatchedSyntheticEnv`](crate::BatchedSyntheticEnv) on the calling
+//! thread with the live agent, one train step per lane per step. This is
+//! the repo's only lockstep loop — the trainer's `Lockstep(lanes)` mode
+//! runs it too — so `Distributed { workers: 1, lanes }` is
+//! **bit-identical** to `Lockstep(lanes)`, and `Lockstep(1)` to the
+//! one-rollout-at-a-time loop the trainer once had (a golden fingerprint
+//! in the trainer tests pins it). With `workers ≥ 2` workers act on
 //! *frozen* per-wave policy snapshots (observation normaliser and
 //! parameter-noise σ included), so results are deterministic-but-different
 //! from lockstep: a throughput regime, not a replay of it.

@@ -15,8 +15,7 @@ use crate::distributed::{
     run_distributed_rollouts, DistributedParams, VersionSchedule, WorkerFault,
 };
 use crate::{
-    BatchedSyntheticEnv, ClusterEnvAdapter, DynamicsModel, MirasAgent, MirasConfig, RefinedModel,
-    SyntheticEnv, TransitionDataset,
+    ClusterEnvAdapter, DynamicsModel, MirasAgent, MirasConfig, RefinedModel, TransitionDataset,
 };
 
 /// Why a self-healing training driver ultimately gave up.
@@ -306,15 +305,8 @@ impl MirasTrainer {
             .seed
             .wrapping_add(0xBEEF)
             .wrapping_add(self.iteration as u64);
-        let (returns, rollouts_run, lend_triggers) = match self.config.rollout_mode {
-            RolloutMode::Sequential => self.inner_loop_sequential(refined, synth_seed, health)?,
-            RolloutMode::Lockstep(lanes) => {
-                self.inner_loop_lockstep(refined, synth_seed, lanes, health)?
-            }
-            RolloutMode::Distributed { workers, lanes } => {
-                self.inner_loop_distributed(refined, synth_seed, workers, lanes, schedule, health)?
-            }
-        };
+        let (returns, rollouts_run, lend_triggers) =
+            self.inner_loop(refined, synth_seed, schedule, health)?;
         let synthetic_return_mean = if returns.is_empty() {
             0.0
         } else {
@@ -530,144 +522,21 @@ impl MirasTrainer {
         }
     }
 
-    /// The original sequential inner loop: one synthetic rollout at a time,
-    /// one model forward per step. Returns the per-rollout returns, the
-    /// number of rollouts actually run, and the Lend-trigger count.
-    fn inner_loop_sequential(
+    /// The inner loop: delegates to
+    /// [`distributed::run_distributed_rollouts`](crate::distributed::run_distributed_rollouts),
+    /// with `Lockstep(lanes)` run as its one-worker lockstep loop, and
+    /// records the version-schedule manifest of distributed runs.
+    fn inner_loop(
         &mut self,
         refined: RefinedModel,
         synth_seed: u64,
-        health: &mut TrainHealth,
-    ) -> Result<(Vec<f64>, usize, u64), TrainError> {
-        let mut synth = SyntheticEnv::new(
-            refined,
-            self.dataset.clone(),
-            self.consumer_budget,
-            synth_seed,
-        );
-        synth.set_telemetry(self.telemetry.clone());
-        let mut returns = Vec::new();
-        let mut best = f64::NEG_INFINITY;
-        let mut stale = 0usize;
-        let mut rollouts_run = 0usize;
-        for _ in 0..self.config.rollouts_per_iter {
-            let mut s = synth.reset();
-            self.agent.resample_perturbation();
-            let mut total = 0.0;
-            for _ in 0..self.config.rollout_len {
-                let a = self.agent.act_exploratory(&s);
-                let t = synth.step(&a);
-                self.agent.observe(&s, &a, t.reward, &t.next_state);
-                let _ = self.agent.try_train_step(health)?;
-                total += t.reward;
-                s = t.next_state;
-            }
-            returns.push(total);
-            rollouts_run += 1;
-            // "until performance of the policy stops improving"
-            if self.config.inner_patience > 0 {
-                if total > best {
-                    best = total;
-                    stale = 0;
-                } else {
-                    stale += 1;
-                    if stale >= self.config.inner_patience {
-                        break;
-                    }
-                }
-            }
-        }
-        Ok((returns, rollouts_run, synth.lend_triggers()))
-    }
-
-    /// The lockstep inner loop: the rollout budget is consumed in waves of
-    /// up to `lanes` lanes stepped simultaneously, so each step runs ONE
-    /// batched dynamics forward and ONE batched actor forward for the whole
-    /// wave. Per environment step the agent still performs one train step
-    /// per active lane, preserving the sequential loop's data-to-update
-    /// ratio. Early-stop patience is applied to completed-lane returns in
-    /// lane order. With `lanes == 1` every RNG stream is consumed in the
-    /// sequential order, so the result is bit-identical to
-    /// [`MirasTrainer::inner_loop_sequential`].
-    fn inner_loop_lockstep(
-        &mut self,
-        refined: RefinedModel,
-        synth_seed: u64,
-        lanes: usize,
-        health: &mut TrainHealth,
-    ) -> Result<(Vec<f64>, usize, u64), TrainError> {
-        assert!(lanes > 0, "lockstep rollout mode needs at least one lane");
-        let mut env = BatchedSyntheticEnv::new(
-            refined,
-            self.dataset.clone(),
-            self.consumer_budget,
-            synth_seed,
-            lanes,
-        );
-        env.set_telemetry(self.telemetry.clone());
-        let mut returns = Vec::new();
-        let mut best = f64::NEG_INFINITY;
-        let mut stale = 0usize;
-        let mut rollouts_run = 0usize;
-        let mut remaining = self.config.rollouts_per_iter;
-        let mut prev_states = nn::Matrix::zeros(0, 0);
-        let mut totals: Vec<f64> = Vec::with_capacity(lanes);
-        'waves: while remaining > 0 {
-            let active = lanes.min(remaining);
-            env.reset(active);
-            self.agent.resample_perturbation();
-            totals.clear();
-            totals.resize(active, 0.0);
-            for _ in 0..self.config.rollout_len {
-                // The step swaps the env's state buffers, so keep a copy of
-                // the pre-step states for the replay transitions.
-                prev_states.resize(env.states().rows(), env.states().cols());
-                prev_states
-                    .as_mut_slice()
-                    .copy_from_slice(env.states().as_slice());
-                let actions = self.agent.act_exploratory_batch(&prev_states);
-                env.step(&actions);
-                self.agent
-                    .observe_batch(&prev_states, &actions, env.rewards(), env.states());
-                for (t, &r) in totals.iter_mut().zip(env.rewards()) {
-                    *t += r;
-                }
-                for _ in 0..active {
-                    let _ = self.agent.try_train_step(health)?;
-                }
-            }
-            for &total in &totals {
-                returns.push(total);
-                rollouts_run += 1;
-                remaining -= 1;
-                if self.config.inner_patience > 0 {
-                    if total > best {
-                        best = total;
-                        stale = 0;
-                    } else {
-                        stale += 1;
-                        if stale >= self.config.inner_patience {
-                            break 'waves;
-                        }
-                    }
-                }
-            }
-        }
-        Ok((returns, rollouts_run, env.lend_triggers()))
-    }
-
-    /// The distributed inner loop: delegates to
-    /// [`distributed::run_distributed_rollouts`](crate::distributed::run_distributed_rollouts)
-    /// and records the run's version-schedule manifest.
-    fn inner_loop_distributed(
-        &mut self,
-        refined: RefinedModel,
-        synth_seed: u64,
-        workers: usize,
-        lanes: usize,
         schedule: Option<&VersionSchedule>,
         health: &mut TrainHealth,
     ) -> Result<(Vec<f64>, usize, u64), TrainError> {
+        let (workers, lanes, distributed) = match self.config.rollout_mode {
+            RolloutMode::Lockstep(lanes) => (1, lanes, false),
+            RolloutMode::Distributed { workers, lanes } => (workers, lanes, true),
+        };
         let params = DistributedParams {
             workers,
             lanes,
@@ -677,7 +546,7 @@ impl MirasTrainer {
             consumer_budget: self.consumer_budget,
             synth_seed,
             train: true,
-            schedule: schedule.cloned(),
+            schedule: schedule.filter(|_| distributed).cloned(),
             fault: self.worker_fault.take(),
         };
         let outcome = run_distributed_rollouts(
@@ -688,7 +557,9 @@ impl MirasTrainer {
             health,
             &self.telemetry,
         )?;
-        self.last_schedule = Some(outcome.schedule);
+        if distributed {
+            self.last_schedule = Some(outcome.schedule);
+        }
         Ok((outcome.returns, outcome.rollouts_run, outcome.lend_triggers))
     }
 
@@ -704,10 +575,11 @@ impl MirasTrainer {
         self.last_schedule.as_ref()
     }
 
-    /// Arms a one-shot worker crash for the *next* distributed inner loop
+    /// Arms a one-shot worker crash for the *next* inner loop
     /// (chaos/testing hook): the given worker silently dies right before
     /// generating the given global wave, and the learner must respawn it.
-    /// Ignored by non-distributed rollout modes and by `workers = 1` runs.
+    /// Consumed but ignored by a loop without worker threads
+    /// (`Lockstep` and `Distributed { workers: 1, .. }`).
     pub fn inject_worker_fault(&mut self, fault: WorkerFault) {
         self.worker_fault = Some(fault);
     }
@@ -866,23 +738,33 @@ mod tests {
         assert_eq!(run(10), run(10));
     }
 
-    /// A one-lane lockstep inner loop consumes every RNG stream in the
-    /// sequential order, so whole iterations — reports, agent state, and
-    /// real-environment state — must match the sequential mode bit for bit.
+    /// FNV-1a over the serialized outcome of two iterations from fresh
+    /// state: reports, agent snapshot, real-environment snapshot,
+    /// Lend-trigger total and recorded version schedule.
+    fn two_iteration_fingerprint(config: MirasConfig, env_seed: u64) -> u64 {
+        let mut env = real_env(env_seed);
+        let mut trainer = MirasTrainer::new(&env, config);
+        let reports: Vec<IterationReport> =
+            (0..2).map(|_| trainer.run_iteration(&mut env)).collect();
+        let mut text = serde_json::to_string(&reports).unwrap();
+        text += &serde_json::to_string(&trainer.agent_mut().snapshot()).unwrap();
+        text += &serde_json::to_string(&env.snapshot()).unwrap();
+        text += &trainer.lend_triggers_total().to_string();
+        text += &serde_json::to_string(&trainer.last_version_schedule()).unwrap();
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The default `Lockstep(1)` mode reproduces, bit for bit, the
+    /// one-rollout-at-a-time `Sequential` loop it replaced: the pinned
+    /// fingerprint was taken under `Sequential` before that loop was
+    /// removed.
     #[test]
-    fn lockstep_one_lane_is_bit_identical_to_sequential() {
-        let mut seq_env = real_env(21);
-        let mut seq = MirasTrainer::new(&seq_env, MirasConfig::smoke_test(22));
-        let mut lock_env = real_env(21);
-        let mut lock = MirasTrainer::new(&lock_env, MirasConfig::smoke_test(22).with_lockstep(1));
-        for _ in 0..2 {
-            let r_seq = seq.run_iteration(&mut seq_env);
-            let r_lock = lock.run_iteration(&mut lock_env);
-            assert_eq!(r_seq, r_lock);
-        }
-        assert_eq!(seq.lend_triggers_total(), lock.lend_triggers_total());
-        assert_eq!(seq.agent_mut().snapshot(), lock.agent_mut().snapshot());
-        assert_eq!(seq_env.snapshot(), lock_env.snapshot());
+    fn lockstep_one_lane_matches_sequential_golden_fingerprint() {
+        let config = MirasConfig::smoke_test(22);
+        assert_eq!(config.rollout_mode, RolloutMode::Lockstep(1));
+        assert_eq!(two_iteration_fingerprint(config, 21), 0x4431_3511_e364_ae11);
     }
 
     /// Wide lockstep waves must run the full rollout budget and produce a
@@ -899,6 +781,11 @@ mod tests {
         assert!(report.model_loss.is_finite());
         assert!(report.eval_return.is_finite());
         assert!(report.synthetic_return_mean.is_finite());
+        // Pinned when the lockstep loop had its own copy in the trainer.
+        assert_eq!(
+            two_iteration_fingerprint(MirasConfig::smoke_test(24).with_lockstep(3), 23),
+            0x9f47_bae3_bb53_142a
+        );
     }
 
     fn temp_checkpoint(name: &str) -> std::path::PathBuf {
@@ -915,10 +802,10 @@ mod tests {
         }
     }
 
-    /// A one-worker distributed run hosts the environment on a worker
-    /// thread but executes the exact lockstep learner body, so whole
-    /// iterations must match `Lockstep(lanes)` bit for bit — the same
-    /// base-case discipline as `Lockstep(1)` ≡ `Sequential`.
+    /// A one-worker distributed run is the lockstep loop, so whole
+    /// iterations must match `Lockstep(lanes)` bit for bit, and its
+    /// outcome (schedule included) matches the fingerprint pinned when
+    /// `workers = 1` still hosted the environment on a second thread.
     #[test]
     fn distributed_one_worker_is_bit_identical_to_lockstep() {
         let mut lock_env = real_env(31);
@@ -940,6 +827,11 @@ mod tests {
         let schedule = dist.last_version_schedule().unwrap();
         schedule.validate().unwrap();
         assert!(schedule.entries.iter().all(|e| e.worker == 0));
+        assert_eq!(lock.last_version_schedule(), None);
+        assert_eq!(
+            two_iteration_fingerprint(MirasConfig::smoke_test(32).with_distributed(1, 2), 31),
+            0xb646_9da8_0867_45ee
+        );
     }
 
     /// The version-schedule manifest fully determines an async N-worker
@@ -1068,6 +960,41 @@ mod tests {
             reference.agent_mut().snapshot()
         );
         // And the two environments are in identical simulator states.
+        assert_eq!(env.snapshot(), ref_env.snapshot());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A checkpoint written before `RolloutMode::Sequential` was removed
+    /// names that mode; it loads as `Lockstep(1)` and resumes exactly like
+    /// an uninterrupted run.
+    #[test]
+    fn sequential_checkpoint_resumes_as_lockstep_one() {
+        let path = temp_checkpoint("sequential_compat");
+        let mut ref_env = real_env(37);
+        let mut reference = MirasTrainer::new(&ref_env, MirasConfig::smoke_test(38));
+        let _ = reference.run_iteration(&mut ref_env);
+        let ref_r2 = reference.run_iteration(&mut ref_env);
+
+        let mut env = real_env(37);
+        let mut trainer = MirasTrainer::new(&env, MirasConfig::smoke_test(38));
+        let _ = trainer.run_iteration(&mut env);
+        trainer.save_checkpoint(&env, &path).unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        let current = r#""rollout_mode":{"Lockstep":1}"#;
+        assert_eq!(json.matches(current).count(), 1);
+        std::fs::write(
+            &path,
+            json.replace(current, r#""rollout_mode":"Sequential""#),
+        )
+        .unwrap();
+
+        let (mut resumed, mut env) = MirasTrainer::resume(&path, Ensemble::msd()).unwrap();
+        assert_eq!(resumed.config().rollout_mode, RolloutMode::Lockstep(1));
+        assert_eq!(resumed.run_iteration(&mut env), ref_r2);
+        assert_eq!(
+            resumed.agent_mut().snapshot(),
+            reference.agent_mut().snapshot()
+        );
         assert_eq!(env.snapshot(), ref_env.snapshot());
         std::fs::remove_file(&path).ok();
     }

@@ -35,26 +35,6 @@ pub struct DenseGrads {
 }
 
 impl DenseGrads {
-    /// Accumulates another shard's gradients: `self += other`.
-    ///
-    /// Used to reduce per-shard minibatch gradients in a fixed order so
-    /// threaded training stays deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn accumulate(&mut self, other: &DenseGrads) {
-        self.d_weights.add_in_place(&other.d_weights);
-        assert_eq!(
-            self.d_bias.len(),
-            other.d_bias.len(),
-            "bias length mismatch"
-        );
-        for (a, &b) in self.d_bias.iter_mut().zip(&other.d_bias) {
-            *a += b;
-        }
-    }
-
     /// Scales all gradients in place.
     pub fn scale_in_place(&mut self, s: f64) {
         self.d_weights.scale_in_place(s);
@@ -306,18 +286,25 @@ mod tests {
     }
 
     #[test]
-    fn grads_accumulate_and_scale() {
+    fn grads_scale_in_place() {
         let layer = Dense::new(2, 2, Activation::Linear, &mut rng());
         let x = Matrix::from_rows(&[&[1.0, 2.0]]);
         let y = layer.infer(&x);
         let d_out = Matrix::from_rows(&[&[1.0, -1.0]]);
-        let (_, mut g1) = layer.backward(&x, &y, &d_out);
-        let (_, g2) = layer.backward(&x, &y, &d_out);
-        g1.accumulate(&g2);
-        g1.scale_in_place(0.5);
+        let (_, mut g) = layer.backward(&x, &y, &d_out);
+        g.scale_in_place(0.5);
         let (_, g_ref) = layer.backward(&x, &y, &d_out);
-        assert_eq!(g1.d_weights, g_ref.d_weights);
-        assert_eq!(g1.d_bias, g_ref.d_bias);
+        for (a, b) in g
+            .d_weights
+            .as_slice()
+            .iter()
+            .zip(g_ref.d_weights.as_slice())
+        {
+            assert_eq!(*a, 0.5 * b);
+        }
+        for (a, b) in g.d_bias.iter().zip(&g_ref.d_bias) {
+            assert_eq!(*a, 0.5 * b);
+        }
     }
 
     #[test]

@@ -573,20 +573,6 @@ impl Matrix {
         }
         out
     }
-
-    /// Returns a copy of rows `[start, end)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > end` or `end > self.rows()`.
-    #[must_use]
-    pub fn rows_range(&self, start: usize, end: usize) -> Matrix {
-        assert!(start <= end && end <= self.rows, "row range out of bounds");
-        let mut out = Matrix::zeros(end - start, self.cols);
-        out.data
-            .copy_from_slice(&self.data[start * self.cols..end * self.cols]);
-        out
-    }
 }
 
 impl Add for &Matrix {
@@ -752,16 +738,6 @@ mod tests {
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
         m.resize(2, 2);
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn rows_range_copies_rows() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        assert_eq!(
-            a.rows_range(1, 3),
-            Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]])
-        );
-        assert_eq!(a.rows_range(1, 1).rows(), 0);
     }
 
     #[test]

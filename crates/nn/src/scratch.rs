@@ -17,6 +17,10 @@ use std::cell::RefCell;
 const MAX_POOLED_BUFFERS: usize = 64;
 /// Buffers larger than this many elements (16 MiB of f64) are not retained.
 const MAX_POOLED_LEN: usize = 2 * 1024 * 1024;
+/// Requests up to this many elements may reuse any pooled buffer of at most
+/// this capacity; larger requests only reuse buffers of at most twice their
+/// length.
+const SMALL_LEN: usize = 64;
 
 thread_local! {
     static POOL: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
@@ -24,6 +28,13 @@ thread_local! {
 
 /// Returns a zeroed buffer of exactly `len` elements, reusing pooled capacity
 /// when possible.
+///
+/// Reuse is bounded: a buffer more than twice the request (and larger than
+/// [`SMALL_LEN`]) stays pooled. Capacity never shrinks and the pool is capped
+/// by count, so without the bound one-row matrices (a one-lane rollout's
+/// forwards) would take the minibatch-sized buffers a train step recycled,
+/// and the retained set would ratchet toward `MAX_POOLED_BUFFERS` buffers of
+/// the largest common size.
 pub(crate) fn take_buffer(len: usize) -> Vec<f64> {
     let recycled = POOL.with(|pool| {
         let mut pool = pool.borrow_mut();
@@ -32,7 +43,8 @@ pub(crate) fn take_buffer(len: usize) -> Vec<f64> {
         let mut best: Option<(usize, usize)> = None;
         for (idx, buf) in pool.iter().enumerate() {
             let cap = buf.capacity();
-            if cap >= len && best.is_none_or(|(_, c)| cap < c) {
+            let fits = cap >= len && cap <= (2 * len).max(SMALL_LEN);
+            if fits && best.is_none_or(|(_, c)| cap < c) {
                 best = Some((idx, cap));
             }
         }
@@ -93,6 +105,17 @@ mod tests {
         let reused = std::ptr::eq(buf.as_ptr(), ptr);
         let _ = reused; // pointer identity is allocator-dependent; len is the contract
         assert_eq!(buf.len(), 1000);
+    }
+
+    #[test]
+    fn small_requests_leave_much_larger_buffers_pooled() {
+        recycle(vec![0.0; 4096]);
+        let before = pooled_count();
+        let small = take_buffer(4);
+        assert!(small.capacity() < 4096);
+        assert_eq!(pooled_count(), before);
+        let big = take_buffer(3000);
+        assert_eq!(big.capacity(), 4096);
     }
 
     #[test]

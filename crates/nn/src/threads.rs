@@ -11,9 +11,10 @@
 //!
 //! Kernels are written so that the split across threads never changes the
 //! floating-point reduction order of any output element; a matrix product is
-//! therefore bit-identical for every thread count. Coarser regions (gradient
-//! shards, ensemble members) fix their shard count from this knob, so runs
-//! are bit-reproducible for a fixed `NN_NUM_THREADS`.
+//! therefore bit-identical for every thread count. Coarser regions (ensemble
+//! members) run independent computations side by side and never sum across
+//! threads, so training results are bit-identical for every
+//! `NN_NUM_THREADS`; the knob only changes wall-clock time.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -41,8 +42,8 @@ thread_local! {
 /// Runs `f` with all kernel-level parallelism disabled on this thread.
 ///
 /// Used by coarse-grained parallel regions (ensemble-member training,
-/// minibatch gradient shards) so their workers do not spawn nested kernel
-/// threads and oversubscribe the machine.
+/// rollout workers) so their workers do not spawn nested kernel threads and
+/// oversubscribe the machine.
 pub fn with_serial<R>(f: impl FnOnce() -> R) -> R {
     FORCE_SERIAL.with(|flag| {
         let prev = flag.replace(true);

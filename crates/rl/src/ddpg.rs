@@ -1,6 +1,6 @@
 //! Deep deterministic policy gradient with parameter-space exploration.
 
-use nn::{Activation, Adam, DenseGrads, Matrix, Mlp};
+use nn::{Activation, Adam, Matrix, Mlp};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -8,64 +8,6 @@ use telemetry::Telemetry;
 
 use crate::policy::project_to_simplex;
 use crate::{AdaptiveParamNoise, OrnsteinUhlenbeck, ReplayBuffer, RunningNorm, StoredTransition};
-
-/// Minimum minibatch rows per gradient shard; below this, thread overhead
-/// dominates the matrix work.
-const MIN_SHARD_ROWS: usize = 16;
-
-/// Splits `rows` minibatch rows into contiguous shards, at most one per
-/// configured thread (`NN_NUM_THREADS`). The shard count is a pure function
-/// of `rows` and the thread knob, and shards are always reduced in index
-/// order, so threaded training is bit-reproducible for a fixed knob; with
-/// one shard the computation is identical to the serial path.
-fn shard_ranges(rows: usize) -> Vec<(usize, usize)> {
-    let shards = nn::threads::effective_threads()
-        .min(rows / MIN_SHARD_ROWS)
-        .max(1);
-    let base = rows / shards;
-    let extra = rows % shards;
-    let mut ranges = Vec::with_capacity(shards);
-    let mut start = 0;
-    for i in 0..shards {
-        let len = base + usize::from(i < extra);
-        ranges.push((start, start + len));
-        start += len;
-    }
-    ranges
-}
-
-/// Runs `work` over each shard range — on this thread if there is only one
-/// shard, otherwise one scoped thread per shard (each with nested kernel
-/// parallelism disabled) — and returns the results in shard order.
-fn run_sharded<T, F>(ranges: &[(usize, usize)], work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn((usize, usize)) -> T + Sync,
-{
-    if ranges.len() == 1 {
-        return vec![work(ranges[0])];
-    }
-    let mut out: Vec<Option<T>> = ranges.iter().map(|_| None).collect();
-    let work_ref = &work;
-    std::thread::scope(|scope| {
-        for (slot, &range) in out.iter_mut().zip(ranges) {
-            scope.spawn(move || {
-                *slot = Some(nn::threads::with_serial(|| work_ref(range)));
-            });
-        }
-    });
-    out.into_iter()
-        .map(|s| s.expect("shard completed"))
-        .collect()
-}
-
-/// One shard's contribution to a critic update.
-struct CriticShard {
-    /// Unnormalised sum of squared TD errors over the shard's rows.
-    loss_sum: f64,
-    trunk_grads: Vec<DenseGrads>,
-    head_grads: Vec<DenseGrads>,
-}
 
 /// The critic `Q(s, a)` with the paper's architecture: the action is
 /// injected at the *second* hidden layer (§VI-A3 — "we insert one of
@@ -123,11 +65,8 @@ impl Critic {
     }
 
     /// One MSE training step toward `targets`; returns the loss before the
-    /// update.
-    ///
-    /// The minibatch is split into row shards (see [`shard_ranges`]) whose
-    /// gradients are computed on scoped threads and reduced in shard order,
-    /// then applied once — equivalent to the full-batch update.
+    /// update. The gradient is computed once over the whole minibatch, so
+    /// the result does not depend on the thread count.
     pub fn train(
         &mut self,
         states: &Matrix,
@@ -137,56 +76,18 @@ impl Critic {
         head_opt: &mut Adam,
     ) -> f64 {
         let n = states.rows() as f64;
-        let ranges = shard_ranges(states.rows());
-        let this: &Critic = self;
-        let shards = run_sharded(&ranges, |range| {
-            this.grad_shard(states, actions, targets, range, n)
-        });
-
-        let mut iter = shards.into_iter();
-        let mut acc = iter.next().expect("at least one shard");
-        for s in iter {
-            acc.loss_sum += s.loss_sum;
-            for (a, b) in acc.trunk_grads.iter_mut().zip(&s.trunk_grads) {
-                a.accumulate(b);
-            }
-            for (a, b) in acc.head_grads.iter_mut().zip(&s.head_grads) {
-                a.accumulate(b);
-            }
-        }
-        self.head.apply_gradients(&mut acc.head_grads, head_opt);
-        self.trunk.apply_gradients(&mut acc.trunk_grads, trunk_opt);
-        acc.loss_sum / n
-    }
-
-    /// Forward/backward over rows `[r0, r1)` of the minibatch. The TD-error
-    /// gradient is scaled by the *full* batch size `n`, so summing shard
-    /// gradients reproduces the full-batch gradient exactly.
-    fn grad_shard(
-        &self,
-        states: &Matrix,
-        actions: &Matrix,
-        targets: &Matrix,
-        (r0, r1): (usize, usize),
-        n: f64,
-    ) -> CriticShard {
-        let s = states.rows_range(r0, r1);
-        let a = actions.rows_range(r0, r1);
-        let t = targets.rows_range(r0, r1);
-        let trunk_trace = self.trunk.forward_cached(&s);
-        let z = Matrix::hconcat(&[trunk_trace.output(), &a]);
+        let trunk_trace = self.trunk.forward_cached(states);
+        let z = Matrix::hconcat(&[trunk_trace.output(), actions]);
         let head_trace = self.head.forward_cached(&z);
-        let mut d_q = head_trace.output() - &t;
+        let mut d_q = head_trace.output() - targets;
         let loss_sum = d_q.as_slice().iter().map(|&v| v * v).sum::<f64>();
         d_q.scale_in_place(2.0 / n);
-        let (d_z, head_grads) = self.head.backward(&head_trace, &d_q);
+        let (d_z, mut head_grads) = self.head.backward(&head_trace, &d_q);
         let d_h = d_z.columns(0, trunk_trace.output().cols());
-        let (_, trunk_grads) = self.trunk.backward(&trunk_trace, &d_h);
-        CriticShard {
-            loss_sum,
-            trunk_grads,
-            head_grads,
-        }
+        let (_, mut trunk_grads) = self.trunk.backward(&trunk_trace, &d_h);
+        self.head.apply_gradients(&mut head_grads, head_opt);
+        self.trunk.apply_gradients(&mut trunk_grads, trunk_opt);
+        loss_sum / n
     }
 
     /// `∂Q/∂a` for each sample — the deterministic-policy-gradient term.
@@ -947,40 +848,29 @@ impl Ddpg {
         // Actor: ascend ∂Q/∂a through the deterministic policy gradient,
         // plus an entropy bonus that prevents softmax-vertex collapse.
         // Loss = −Q − β·H(a); with H = −Σ a ln a the output gradient is
-        // −∂Q/∂a + β (ln a + 1), averaged over the batch. Sharded like the
-        // critic update: per-shard gradients scale by the full batch size,
-        // so their ordered sum is the full-batch gradient.
+        // −∂Q/∂a + β (ln a + 1), averaged over the batch.
         let beta = self.config.entropy_weight;
         let inv_b = 1.0 / b as f64;
-        let ranges = shard_ranges(b);
-        let (actor, critic) = (&self.actor, &self.critic);
-        let shards = run_sharded(&ranges, |(r0, r1)| {
-            let s = states.rows_range(r0, r1);
-            let trace = actor.forward_cached(&s);
-            let policy_actions = trace.output();
-            let q_sum: f64 = critic.q(&s, policy_actions).as_slice().iter().sum();
-            let mut d_out = critic.action_gradient(&s, policy_actions);
-            d_out.scale_in_place(-inv_b);
-            if beta > 0.0 {
-                for r in 0..d_out.rows() {
-                    for c in 0..d_out.cols() {
-                        let a = policy_actions.get(r, c).max(1e-8);
-                        let g = d_out.get(r, c) + beta * (a.ln() + 1.0) * inv_b;
-                        d_out.set(r, c, g);
-                    }
+        let trace = self.actor.forward_cached(&states);
+        let policy_actions = trace.output();
+        let q_sum: f64 = self
+            .critic
+            .q(&states, policy_actions)
+            .as_slice()
+            .iter()
+            .sum();
+        let mut d_out = self.critic.action_gradient(&states, policy_actions);
+        d_out.scale_in_place(-inv_b);
+        if beta > 0.0 {
+            for r in 0..d_out.rows() {
+                for c in 0..d_out.cols() {
+                    let a = policy_actions.get(r, c).max(1e-8);
+                    let g = d_out.get(r, c) + beta * (a.ln() + 1.0) * inv_b;
+                    d_out.set(r, c, g);
                 }
             }
-            let (_, grads) = actor.backward(&trace, &d_out);
-            (q_sum, grads)
-        });
-        let mut iter = shards.into_iter();
-        let (mut q_sum, mut grads) = iter.next().expect("at least one shard");
-        for (q_part, g_part) in iter {
-            q_sum += q_part;
-            for (a, g) in grads.iter_mut().zip(&g_part) {
-                a.accumulate(g);
-            }
         }
+        let (_, mut grads) = self.actor.backward(&trace, &d_out);
         let mean_q = q_sum * inv_b;
         self.actor.apply_gradients(&mut grads, &mut self.actor_opt);
 
@@ -1822,5 +1712,31 @@ mod tests {
         a = weights.greedy().act_batch(&s);
         let d = agent.policy_weights().greedy().act_batch(&s);
         assert_eq!(a.as_slice(), d.as_slice());
+    }
+
+    /// Trains a `batch_size = 64` agent for 30 steps and returns its
+    /// serialized snapshot.
+    fn trained_snapshot_json() -> String {
+        let mut cfg = config(41);
+        cfg.batch_size = 64;
+        let mut agent = Ddpg::new(3, 3, cfg);
+        for i in 0..96 {
+            let s = [i as f64 * 0.1, (i % 7) as f64, 1.0];
+            let a = agent.act_exploratory(&s);
+            agent.observe(&s, &a, a[0] - a[2], &[s[1], s[0], 0.5]);
+        }
+        for _ in 0..30 {
+            assert!(agent.train_step().is_some());
+        }
+        serde_json::to_string(&agent.snapshot()).unwrap()
+    }
+
+    /// Training is bit-identical at any `NN_NUM_THREADS`: the serial run
+    /// and a run with the configured thread budget serialize alike.
+    #[test]
+    fn training_is_independent_of_thread_count() {
+        let serial = nn::threads::with_serial(trained_snapshot_json);
+        let threaded = trained_snapshot_json();
+        assert!(serial == threaded, "snapshots differ between thread counts");
     }
 }

@@ -63,7 +63,7 @@ commands:
   train     --ensemble msd|ligo|gpu-serve [--iterations N] [--paper] [--smoke]
             [--seed N] [--out FILE] [--workers N] [--lanes B]
             (--workers 2+ runs the distributed actor-learner inner loop;
-             --workers 1 is the lockstep loop on a worker thread)
+             --workers 1 is the default lockstep loop with --lanes lanes)
   evaluate  --agent FILE [--ensemble msd|ligo|gpu-serve] [--burst N,N,..]
             [--trace FILE] [--windows N] [--seed N]
   allocate  --agent FILE --wip X,X,..
