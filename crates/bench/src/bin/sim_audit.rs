@@ -81,14 +81,15 @@ fn parse_args() -> Args {
     args
 }
 
-/// Runs one fault scenario with auditing on; returns the violation count.
+/// Runs one fault scenario with auditing on; returns the violation count,
+/// or the error from loading a trace-replay workload's file.
 fn run_scenario(
     name: &str,
     sim: SimConfig,
     windows: usize,
     workload: &WorkloadSpec,
     telemetry: &telemetry::Telemetry,
-) -> usize {
+) -> std::io::Result<usize> {
     let ensemble = Ensemble::msd();
     let mut policy =
         by_name("uniform", &PolicyConfig::new(&ensemble)).expect("uniform is registered");
@@ -98,9 +99,7 @@ fn run_scenario(
     let mut env = MicroserviceEnv::new(ensemble, config);
     env.set_telemetry(telemetry.clone());
     let _ = env.reset();
-    let _ = env
-        .load_workload_trace()
-        .expect("workload trace file loads");
+    let _ = env.load_workload_trace()?;
     let mut previous = None;
     for window in 0..windows {
         let wip = env.state();
@@ -112,7 +111,7 @@ fn run_scenario(
     for v in &violations {
         eprintln!("  [{name}] {v}");
     }
-    violations.len()
+    Ok(violations.len())
 }
 
 struct DifferentialRow {
@@ -217,7 +216,14 @@ fn main() -> ExitCode {
     println!("{:>12} {:>12}", "scenario", "violations");
     for scenario in fault_scenarios() {
         let sim = scenario.apply(SimConfig::new(args.seed));
-        let count = run_scenario(scenario.name, sim, args.windows, &args.workload, &telemetry);
+        let count = match run_scenario(scenario.name, sim, args.windows, &args.workload, &telemetry)
+        {
+            Ok(count) => count,
+            Err(e) => {
+                eprintln!("sim_audit: cannot load the workload trace: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         println!("{:>12} {:>12}", scenario.name, count);
         failures += count;
     }

@@ -268,6 +268,11 @@ impl BenchArgs {
     /// [--smoke] [--workload SPEC]` where SPEC is one of `stationary`,
     /// `diurnal`, `trending`, `flash-crowd`, or `trace:<path>`.
     ///
+    /// A `trace:<path>` workload is loaded once here for each selected
+    /// ensemble, so a missing or non-JSONL trace file, or one naming a
+    /// workflow type the ensemble lacks, ends the process with its error
+    /// (exit status 2) before any training starts.
+    ///
     /// # Panics
     ///
     /// Panics with a usage message on malformed arguments.
@@ -323,6 +328,16 @@ impl BenchArgs {
                      [--paper] [--iterations N] [--no-cache] [--steady] [--smoke] \
                      [--workload stationary|diurnal|trending|flash-crowd|trace:<path>]"
                 ),
+            }
+        }
+        if let WorkloadSpec::TraceReplay { path } = &args.workload {
+            for kind in args.ensembles() {
+                let ensemble = kind.ensemble();
+                let config = EnvConfig::for_ensemble(&ensemble);
+                if let Err(e) = MicroserviceEnv::new(ensemble, config).inject_trace_file(path) {
+                    eprintln!("error: --workload trace:{path} ({}): {e}", kind.name());
+                    std::process::exit(2);
+                }
             }
         }
         args
@@ -856,95 +871,29 @@ pub fn run_resilience(
     args: &BenchArgs,
     telemetry: &Telemetry,
 ) -> Vec<(String, String, Vec<StepRecord>)> {
-    let seed = args.seed;
     let ensemble = kind.ensemble();
     let steps = args.comparison_steps(kind);
     let burst = kind.burst_scenarios().remove(0);
+    let policy_cfg = train_grid_policies(kind, args, telemetry);
 
-    // Train MIRAS (or load the cached agent) and the model-free baseline on
-    // the healthy environment, exactly as the comparison figures do.
-    let (_, miras_agent) = train_miras(kind, args, !args.no_cache, true, telemetry);
-    let miras_cfg = args.miras_config(kind);
-    let interaction_budget =
-        args.resolved_iterations() * (miras_cfg.real_steps_per_iter + miras_cfg.eval_steps);
-    let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(seed.wrapping_add(7));
-    let mut mf_env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble.clone(), env_config));
-    mf_env.set_telemetry(telemetry.clone());
-    let model_free = baselines::train_model_free(
-        &mut mf_env,
-        interaction_budget,
-        miras_cfg.reset_every,
-        miras_cfg.ddpg.clone(),
-        miras_cfg.collect_burst_max.as_deref(),
-    );
-
-    // Fan the scenario × algorithm grid out across worker threads. Every
-    // cell builds its own allocator and environment from cloned inputs and
-    // records into a private buffer, so the numbers are identical to a
-    // sequential sweep; buffers are replayed in cell order afterwards, so
-    // the telemetry stream is too.
     let scenarios = fault_scenarios();
     let algorithms = RESILIENCE_ALGORITHMS;
-    let enabled = telemetry.is_enabled();
-    let policy_cfg = PolicyConfig::new(&ensemble)
-        .with_miras_agent(miras_agent)
-        .with_model_free(model_free.agent().clone());
-    let mut tasks: Vec<Box<dyn FnOnce() -> GridCell + Send + '_>> = Vec::new();
-    for scenario in &scenarios {
-        let base = EnvConfig::for_ensemble(&ensemble)
-            .with_seed(seed)
-            .with_workload(args.workload.clone());
-        let config = base.clone().with_sim(scenario.apply(base.sim().clone()));
-        for &algorithm in algorithms {
-            let config = config.clone();
-            let policy_cfg = policy_cfg.clone();
-            let burst = &burst;
-            tasks.push(Box::new(move || {
-                let buffer = Arc::new(BufferedRecorder::new());
-                let cell_telemetry = if enabled {
-                    Telemetry::new(buffer.clone())
-                } else {
-                    Telemetry::noop()
-                };
-                let mut policy =
-                    by_name(algorithm, &policy_cfg).expect("grid algorithms are registered");
-                let records = run_allocator_configured(
-                    kind,
-                    config,
-                    Some(burst),
-                    steps,
-                    policy.as_mut(),
-                    &cell_telemetry,
-                );
-                GridCell {
-                    name: algorithm.to_string(),
-                    records,
-                    buffer,
-                }
-            }));
-        }
-    }
-    let cells = run_grid(tasks);
+    let rows = scenarios
+        .iter()
+        .map(|scenario| {
+            let base = EnvConfig::for_ensemble(&ensemble)
+                .with_seed(args.seed)
+                .with_workload(args.workload.clone());
+            let sim = scenario.apply(base.sim().clone());
+            (base.with_sim(sim), Some(&burst))
+        })
+        .collect();
+    let cells = run_grid_cells(kind, rows, algorithms, &policy_cfg, steps, telemetry);
 
     let mut results = Vec::new();
     for (scenario, row) in scenarios.iter().zip(cells.chunks(algorithms.len())) {
-        let mut summaries = Vec::new();
-        for cell in row {
-            cell.buffer.replay(telemetry);
-            summaries.push(summarize(&cell.name, &cell.records));
-        }
-        if telemetry.is_enabled() {
-            for summary in &summaries {
-                if let Ok(Value::Object(mut fields)) = serde::value::to_value(summary) {
-                    fields.push((
-                        "scenario".to_string(),
-                        Value::String(scenario.name.to_string()),
-                    ));
-                    telemetry.event_struct("bench.summary", &Value::Object(fields));
-                }
-            }
-        }
-
+        let label = ("scenario", Value::String(scenario.name.to_string()));
+        let summaries = replay_row(row, telemetry, label);
         println!(
             "\n=== {} resilience — scenario `{}` (burst {:?}, {} windows) ===",
             kind.name().to_uppercase(),
@@ -979,25 +928,17 @@ struct GridCell {
     buffer: Arc<BufferedRecorder>,
 }
 
-/// Runs the paper's five-algorithm comparison (Figs. 7 and 8) for one
-/// ensemble: MIRAS vs `stream` (DRS), `heft`, `monad`, and `rl` (model-free
-/// DDPG with the same real-interaction budget), across the paper's three
-/// burst scenarios. Returns `(scenario, algorithm, records)` tuples and
-/// prints tables along the way; every run summary is also emitted as a
-/// `bench.summary` telemetry event.
-pub fn run_comparison(
+/// Trains (or loads the cached) MIRAS agent and trains the model-free DDPG
+/// baseline with the same number of real interactions (§VI-D), both on the
+/// stationary, healthy environment. Returns a policy configuration that
+/// carries both agents, so every registry policy can be built from it.
+fn train_grid_policies(
     kind: EnsembleKind,
     args: &BenchArgs,
     telemetry: &Telemetry,
-) -> Vec<(usize, String, Vec<StepRecord>)> {
-    let seed = args.seed;
+) -> PolicyConfig {
     let ensemble = kind.ensemble();
-    let steps = args.comparison_steps(kind);
-
-    // MIRAS: train (or load) the model-based agent.
     let (_, miras_agent) = train_miras(kind, args, !args.no_cache, true, telemetry);
-
-    // Model-free DDPG with the same number of real interactions (§VI-D).
     let miras_cfg = args.miras_config(kind);
     let interaction_budget =
         args.resolved_iterations() * (miras_cfg.real_steps_per_iter + miras_cfg.eval_steps);
@@ -1006,7 +947,7 @@ pub fn run_comparison(
         kind.name(),
         interaction_budget
     );
-    let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(seed.wrapping_add(7));
+    let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(args.seed.wrapping_add(7));
     let mut mf_env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble.clone(), env_config));
     mf_env.set_telemetry(telemetry.clone());
     let model_free = baselines::train_model_free(
@@ -1016,23 +957,34 @@ pub fn run_comparison(
         miras_cfg.ddpg.clone(),
         miras_cfg.collect_burst_max.as_deref(),
     );
-
-    // Fan the burst-scenario × algorithm grid out across worker threads;
-    // see `run_resilience` for the determinism contract.
-    let bursts = kind.burst_scenarios();
-    let algorithms = COMPARISON_ALGORITHMS;
-    let enabled = telemetry.is_enabled();
-    let policy_cfg = PolicyConfig::new(&ensemble)
+    PolicyConfig::new(&ensemble)
         .with_miras_agent(miras_agent)
-        .with_model_free(model_free.agent().clone());
-    let mut tasks: Vec<Box<dyn FnOnce() -> GridCell + Send + '_>> = Vec::new();
-    for burst in &bursts {
+        .with_model_free(model_free.agent().clone())
+}
+
+/// Runs every `row × algorithm` cell of an evaluation grid across the
+/// grid's worker threads and returns the cells in row-major order. Each
+/// row is an environment configuration plus an optional burst.
+///
+/// Every cell builds its own policy and environment from cloned inputs and
+/// records its telemetry into a private buffer, so the numbers equal a
+/// sequential sweep's; [`replay_row`] then replays the buffers in cell
+/// order, so the telemetry stream does too.
+fn run_grid_cells(
+    kind: EnsembleKind,
+    rows: Vec<(EnvConfig, Option<&BurstSpec>)>,
+    algorithms: &[&str],
+    policy_cfg: &PolicyConfig,
+    steps: usize,
+    telemetry: &Telemetry,
+) -> Vec<GridCell> {
+    let enabled = telemetry.is_enabled();
+    let mut tasks = Vec::new();
+    for (config, burst) in rows {
         for &algorithm in algorithms {
+            let config = config.clone();
             let policy_cfg = policy_cfg.clone();
-            let config = EnvConfig::for_ensemble(&ensemble)
-                .with_seed(seed)
-                .with_workload(args.workload.clone());
-            tasks.push(Box::new(move || {
+            tasks.push(move || {
                 let buffer = Arc::new(BufferedRecorder::new());
                 let cell_telemetry = if enabled {
                     Telemetry::new(buffer.clone())
@@ -1044,7 +996,7 @@ pub fn run_comparison(
                 let records = run_allocator_configured(
                     kind,
                     config,
-                    Some(burst),
+                    burst,
                     steps,
                     policy.as_mut(),
                     &cell_telemetry,
@@ -1054,10 +1006,56 @@ pub fn run_comparison(
                     records,
                     buffer,
                 }
-            }));
+            });
         }
     }
-    let cells = run_grid(tasks);
+    run_grid(tasks)
+}
+
+/// Replays one grid row's buffered telemetry in cell order, then emits one
+/// `bench.summary` event per cell, tagged with the row's `(field, value)`
+/// label (its scenario or workload). Returns the row's summaries.
+fn replay_row(row: &[GridCell], telemetry: &Telemetry, label: (&str, Value)) -> Vec<RunSummary> {
+    let summaries: Vec<RunSummary> = row
+        .iter()
+        .map(|cell| {
+            cell.buffer.replay(telemetry);
+            summarize(&cell.name, &cell.records)
+        })
+        .collect();
+    if telemetry.is_enabled() {
+        for summary in &summaries {
+            if let Ok(Value::Object(mut fields)) = serde::value::to_value(summary) {
+                fields.push((label.0.to_string(), label.1.clone()));
+                telemetry.event_struct("bench.summary", &Value::Object(fields));
+            }
+        }
+    }
+    summaries
+}
+
+/// Runs the paper's five-algorithm comparison (Figs. 7 and 8) for one
+/// ensemble: MIRAS vs `stream` (DRS), `heft`, `monad`, and `rl` (model-free
+/// DDPG with the same real-interaction budget), across the paper's three
+/// burst scenarios. Returns `(scenario, algorithm, records)` tuples and
+/// prints tables along the way; every run summary is also emitted as a
+/// `bench.summary` telemetry event.
+pub fn run_comparison(
+    kind: EnsembleKind,
+    args: &BenchArgs,
+    telemetry: &Telemetry,
+) -> Vec<(usize, String, Vec<StepRecord>)> {
+    let ensemble = kind.ensemble();
+    let steps = args.comparison_steps(kind);
+    let policy_cfg = train_grid_policies(kind, args, telemetry);
+
+    let bursts = kind.burst_scenarios();
+    let algorithms = COMPARISON_ALGORITHMS;
+    let config = EnvConfig::for_ensemble(&ensemble)
+        .with_seed(args.seed)
+        .with_workload(args.workload.clone());
+    let rows = bursts.iter().map(|b| (config.clone(), Some(b))).collect();
+    let cells = run_grid_cells(kind, rows, algorithms, &policy_cfg, steps, telemetry);
 
     let mut results = Vec::new();
     for (scenario, (burst, row)) in bursts
@@ -1065,22 +1063,11 @@ pub fn run_comparison(
         .zip(cells.chunks(algorithms.len()))
         .enumerate()
     {
-        let mut series: Vec<(String, Vec<StepRecord>)> = Vec::new();
-        let mut summaries = Vec::new();
-        for cell in row {
-            cell.buffer.replay(telemetry);
-            summaries.push(summarize(&cell.name, &cell.records));
-            series.push((cell.name.clone(), cell.records.clone()));
-        }
-        if telemetry.is_enabled() {
-            for summary in &summaries {
-                if let Ok(Value::Object(mut fields)) = serde::value::to_value(summary) {
-                    fields.push(("scenario".to_string(), Value::UInt(scenario as u64)));
-                    telemetry.event_struct("bench.summary", &Value::Object(fields));
-                }
-            }
-        }
-
+        let summaries = replay_row(row, telemetry, ("scenario", Value::UInt(scenario as u64)));
+        let series: Vec<(String, Vec<StepRecord>)> = row
+            .iter()
+            .map(|cell| (cell.name.clone(), cell.records.clone()))
+            .collect();
         print_response_table(
             &format!(
                 "{} burst {} {:?} — mean response time (s) per 30 s window",
@@ -1111,11 +1098,9 @@ pub fn workload_zoo() -> Vec<WorkloadSpec> {
 }
 
 /// Records `steps` decision windows of the ensemble's stationary Poisson
-/// background and writes the arrivals as a JSONL trace under `results/`,
-/// for replay via [`WorkloadSpec::TraceReplay`]. Background arrivals are
-/// policy-independent (the arrival RNG never sees allocations), so a trace
-/// recorded under any allocator replays identically under all of them.
-/// Returns the trace path.
+/// background with [`microsim::record_workload_trace`] and writes the
+/// arrivals as a JSONL trace under `results/`, for replay via
+/// [`WorkloadSpec::TraceReplay`]. Returns the trace path.
 ///
 /// # Errors
 ///
@@ -1126,17 +1111,8 @@ pub fn record_background_trace(
     steps: usize,
 ) -> std::io::Result<PathBuf> {
     let ensemble = kind.ensemble();
-    let budget = ensemble.default_consumer_budget();
-    let j = ensemble.num_task_types();
     let config = EnvConfig::for_ensemble(&ensemble).with_seed(seed);
-    let mut env = MicroserviceEnv::new(ensemble, config);
-    let _ = env.reset();
-    env.record_trace();
-    let action = vec![(budget / j).max(1); j];
-    for _ in 0..steps {
-        let _ = env.step(&action);
-    }
-    let trace = env.take_recorded_trace();
+    let trace = microsim::record_workload_trace(ensemble, config, steps);
     let dir = PathBuf::from("results");
     fs::create_dir_all(&dir)?;
     let path = dir.join(format!("workload_trace_{}.jsonl", kind.name()));
@@ -1165,86 +1141,26 @@ pub fn run_workload_grid(
     workloads: &[WorkloadSpec],
     telemetry: &Telemetry,
 ) -> Vec<(String, String, Vec<StepRecord>)> {
-    let seed = args.seed;
     let ensemble = kind.ensemble();
     let steps = args.comparison_steps(kind);
+    let policy_cfg = train_grid_policies(kind, args, telemetry);
 
-    let (_, miras_agent) = train_miras(kind, args, !args.no_cache, true, telemetry);
-    let miras_cfg = args.miras_config(kind);
-    let interaction_budget =
-        args.resolved_iterations() * (miras_cfg.real_steps_per_iter + miras_cfg.eval_steps);
-    let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(seed.wrapping_add(7));
-    let mut mf_env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble.clone(), env_config));
-    mf_env.set_telemetry(telemetry.clone());
-    let model_free = baselines::train_model_free(
-        &mut mf_env,
-        interaction_budget,
-        miras_cfg.reset_every,
-        miras_cfg.ddpg.clone(),
-        miras_cfg.collect_burst_max.as_deref(),
-    );
-
-    // Fan the workload × algorithm grid out across worker threads; see
-    // `run_resilience` for the determinism contract.
     let algorithms = COMPARISON_ALGORITHMS;
-    let enabled = telemetry.is_enabled();
-    let policy_cfg = PolicyConfig::new(&ensemble)
-        .with_miras_agent(miras_agent)
-        .with_model_free(model_free.agent().clone());
-    let mut tasks: Vec<Box<dyn FnOnce() -> GridCell + Send + '_>> = Vec::new();
-    for workload in workloads {
-        let config = EnvConfig::for_ensemble(&ensemble)
-            .with_seed(seed)
-            .with_workload(workload.clone());
-        for &algorithm in algorithms {
-            let policy_cfg = policy_cfg.clone();
-            let config = config.clone();
-            tasks.push(Box::new(move || {
-                let buffer = Arc::new(BufferedRecorder::new());
-                let cell_telemetry = if enabled {
-                    Telemetry::new(buffer.clone())
-                } else {
-                    Telemetry::noop()
-                };
-                let mut policy =
-                    by_name(algorithm, &policy_cfg).expect("grid algorithms are registered");
-                let records = run_allocator_configured(
-                    kind,
-                    config,
-                    None,
-                    steps,
-                    policy.as_mut(),
-                    &cell_telemetry,
-                );
-                GridCell {
-                    name: algorithm.to_string(),
-                    records,
-                    buffer,
-                }
-            }));
-        }
-    }
-    let cells = run_grid(tasks);
+    let rows = workloads
+        .iter()
+        .map(|workload| {
+            let config = EnvConfig::for_ensemble(&ensemble)
+                .with_seed(args.seed)
+                .with_workload(workload.clone());
+            (config, None)
+        })
+        .collect();
+    let cells = run_grid_cells(kind, rows, algorithms, &policy_cfg, steps, telemetry);
 
     let mut results = Vec::new();
     for (workload, row) in workloads.iter().zip(cells.chunks(algorithms.len())) {
-        let mut summaries = Vec::new();
-        for cell in row {
-            cell.buffer.replay(telemetry);
-            summaries.push(summarize(&cell.name, &cell.records));
-        }
-        if telemetry.is_enabled() {
-            for summary in &summaries {
-                if let Ok(Value::Object(mut fields)) = serde::value::to_value(summary) {
-                    fields.push((
-                        "workload".to_string(),
-                        Value::String(workload.name().to_string()),
-                    ));
-                    telemetry.event_struct("bench.summary", &Value::Object(fields));
-                }
-            }
-        }
-
+        let label = ("workload", Value::String(workload.name().to_string()));
+        let summaries = replay_row(row, telemetry, label);
         println!(
             "\n=== {} workload `{}` ({} windows, no burst) ===",
             kind.name().to_uppercase(),

@@ -266,25 +266,52 @@ impl MicroserviceEnv {
     }
 
     /// If the configured workload is [`WorkloadSpec::TraceReplay`], loads
-    /// its trace file and injects it at the current instant, returning the
-    /// number of arrivals injected; for every other workload this is a
-    /// no-op returning 0. Call it right after [`reset`] so trace time 0
-    /// lines up with the first decision window.
+    /// its trace file with [`inject_trace_file`] and returns the number of
+    /// arrivals injected; for every other workload this is a no-op
+    /// returning 0. Call it right after [`reset`] so trace time 0 lines up
+    /// with the first decision window.
     ///
+    /// [`inject_trace_file`]: MicroserviceEnv::inject_trace_file
     /// [`reset`]: MicroserviceEnv::reset
     ///
     /// # Errors
     ///
-    /// Propagates I/O and parse errors from loading the trace file.
+    /// As [`inject_trace_file`].
     pub fn load_workload_trace(&mut self) -> std::io::Result<usize> {
-        let WorkloadSpec::TraceReplay { path } = &self.config.workload else {
-            return Ok(0);
-        };
-        let trace = if path.ends_with(".json") {
-            ArrivalTrace::load_json(path)?
-        } else {
-            ArrivalTrace::load_jsonl(path)?
-        };
+        match &self.config.workload {
+            WorkloadSpec::TraceReplay { path } => self.inject_trace_file(&path.clone()),
+            _ => Ok(0),
+        }
+    }
+
+    /// Loads a JSONL trace file (one arrival per line) and injects it at
+    /// the current instant, as [`inject_trace`](MicroserviceEnv::inject_trace)
+    /// does. Returns the number of arrivals injected.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from reading the file. A file that is not
+    /// JSONL (including a JSON array) yields an `InvalidData` error naming
+    /// the first bad line, and an arrival of a workflow type the ensemble
+    /// does not have yields an `InvalidData` error naming it; nothing is
+    /// injected in either case.
+    pub fn inject_trace_file(&mut self, path: &str) -> std::io::Result<usize> {
+        let trace = ArrivalTrace::load_jsonl(path)?;
+        let n = self.num_workflow_types();
+        if let Some(a) = trace
+            .arrivals()
+            .iter()
+            .find(|a| a.workflow_type.index() >= n)
+        {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "arrival at {} has workflow type {}, but the ensemble has {n}",
+                    a.time,
+                    a.workflow_type.index()
+                ),
+            ));
+        }
         self.inject_trace(&trace);
         Ok(trace.len())
     }
@@ -629,6 +656,35 @@ impl MicroserviceEnv {
     }
 }
 
+/// Records `windows` decision windows of `config`'s workload as an
+/// [`ArrivalTrace`] whose time 0 is the end of the post-reset drain.
+///
+/// This is how every arrival trace is generated: the environment samples
+/// its [`WorkloadSpec`] window by window and
+/// [`record_trace`](MicroserviceEnv::record_trace) captures each arrival.
+/// Background arrivals never depend on the allocation (the arrival RNG
+/// sees no action), so the windows run under an even split of the
+/// consumer budget and any other allocation records the same trace. The
+/// result saves with [`ArrivalTrace::save_jsonl`] and replays through
+/// [`WorkloadSpec::TraceReplay`]. A `TraceReplay` config samples no
+/// background, so it records an empty trace.
+#[must_use]
+pub fn record_workload_trace(
+    ensemble: Ensemble,
+    config: EnvConfig,
+    windows: usize,
+) -> ArrivalTrace {
+    let j = ensemble.num_task_types();
+    let action = vec![(config.consumer_budget / j).max(1); j];
+    let mut env = MicroserviceEnv::new(ensemble, config);
+    let _ = env.reset();
+    env.record_trace();
+    for _ in 0..windows {
+        let _ = env.step(&action);
+    }
+    env.take_recorded_trace()
+}
+
 /// Serializable checkpoint of a [`MicroserviceEnv`]'s full dynamic state.
 ///
 /// An opaque token: its only contract is that
@@ -659,6 +715,92 @@ mod tests {
             .with_seed(seed)
             .with_arrival_rates(vec![0.0; 3]);
         MicroserviceEnv::new(ensemble, config)
+    }
+
+    /// Every recorded trace keeps the generator's properties: the same seed
+    /// gives an equal trace, arrivals are sorted and inside the horizon,
+    /// and in each half of the horizon every type's count is within 4σ of
+    /// `rate × ∫ factor dt`. So a stationary count tracks rate × horizon, a
+    /// zero-rate type emits nothing, and a diurnal first half-period
+    /// carries far more arrivals than the second.
+    #[test]
+    fn recorded_workload_traces_keep_generator_properties() {
+        let msd = Ensemble::msd();
+        let diurnal = WorkloadSpec::Diurnal {
+            period: SimTime::from_secs(1_200),
+            amplitude: 0.8,
+        };
+        let (half, end) = (SimTime::from_secs(600), SimTime::from_secs(1_200));
+        for (rates, workload) in [
+            (vec![1.0, 0.5, 0.2], WorkloadSpec::Stationary),
+            (vec![0.0, 2.0, 0.0], WorkloadSpec::Stationary),
+            (vec![0.5; 3], diurnal),
+        ] {
+            let config = EnvConfig::for_ensemble(&msd)
+                .with_seed(11)
+                .with_arrival_rates(rates.clone())
+                .with_workload(workload.clone());
+            let trace = record_workload_trace(msd.clone(), config.clone(), 40);
+            assert_eq!(trace, record_workload_trace(msd.clone(), config, 40));
+            assert!(trace.arrivals().windows(2).all(|w| w[0].time <= w[1].time));
+            assert!(trace.arrivals().iter().all(|a| a.time < end));
+            for (lo, hi) in [(SimTime::ZERO, half), (half, end)] {
+                let mut counts = [0.0; 3];
+                for a in trace
+                    .arrivals()
+                    .iter()
+                    .filter(|a| lo <= a.time && a.time < hi)
+                {
+                    counts[a.workflow_type.index()] += 1.0;
+                }
+                for (n, rate) in counts.iter().zip(&rates) {
+                    let expected = rate * (hi - lo).as_secs_f64() * workload.mean_factor(lo, hi);
+                    assert!(
+                        (n - expected).abs() <= 4.0 * expected.sqrt(),
+                        "{workload:?} [{lo}, {hi}): {n} arrivals, expected {expected}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A trace file that is not JSONL, or names a workflow type the
+    /// ensemble lacks, is a typed error from `load_workload_trace`; a panic
+    /// anywhere on this path fails the test.
+    #[test]
+    fn load_workload_trace_rejects_bad_files_without_panicking() {
+        let dir = std::env::temp_dir().join(format!("miras_env_trace_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, (text, needle)) in [
+            ("{\"arrivals\":[]}", "line 1"),
+            ("[\n{\"time_micros\":1,\"workflow_type\":0}\n]\n", "line 1"),
+            (
+                "{\"time_micros\":1,\"workflow_type\":0}\n%PDF-1.4\n",
+                "line 2",
+            ),
+            (
+                "{\"time_micros\":1,\"workflow_type\":7}\n",
+                "workflow type 7",
+            ),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let path = dir.join(format!("bad{i}.jsonl"));
+            std::fs::write(&path, text).unwrap();
+            let ensemble = Ensemble::msd();
+            let config =
+                EnvConfig::for_ensemble(&ensemble).with_workload(WorkloadSpec::TraceReplay {
+                    path: path.display().to_string(),
+                });
+            let mut env = MicroserviceEnv::new(ensemble, config);
+            let _ = env.reset();
+            let err = env.load_workload_trace().unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{text:?}");
+            assert!(err.to_string().contains(needle), "{text:?}: {err}");
+            assert_eq!(env.step(&[4, 4, 4, 2]).metrics.arrivals, vec![0; 3]);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

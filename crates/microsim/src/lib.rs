@@ -55,7 +55,9 @@ mod workload;
 pub use audit::{audit_env_enabled, AuditViolation, SimAuditor};
 pub use cluster::{Cluster, ClusterSnapshot, CompletionRecord};
 pub use config::{ConfigError, EnvConfig, SimConfig};
-pub use env::{reward_from_total_wip, EnvSnapshot, MicroserviceEnv, StepOutcome};
+pub use env::{
+    record_workload_trace, reward_from_total_wip, EnvSnapshot, MicroserviceEnv, StepOutcome,
+};
 pub use metrics::{LatencySummary, WindowMetrics};
 pub use pool::{ConsumerPool, PoolCounters, PoolDesync};
 pub use workload::WorkloadSpec;

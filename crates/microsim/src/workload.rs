@@ -23,13 +23,17 @@
 //! [`MicroserviceEnv::inject_trace`](crate::MicroserviceEnv::inject_trace)
 //! instead.
 //!
-//! Rather than thinning per-arrival (as `workflow::modulation` does), the
-//! environment integrates the modulation analytically over each decision
-//! window: the window's Poisson mean is
+//! Rather than thinning per arrival, the environment integrates the
+//! modulation analytically over each decision window: the window's Poisson mean is
 //! `rate × window_secs × mean_factor(window_start, window_end)`. This keeps
 //! one RNG draw per (type, window) regardless of the modulation — the same
 //! draw count as the stationary path — which is what makes the
 //! bit-identity guarantee possible.
+//!
+//! This is the repo's one arrival generator. To get a trace file, run a
+//! spec through [`record_workload_trace`](crate::record_workload_trace) and
+//! save the result with `ArrivalTrace::save_jsonl`; JSONL (one arrival per
+//! line) is the only trace file format.
 
 use desim::SimTime;
 use rand::rngs::SmallRng;
@@ -93,12 +97,11 @@ pub enum WorkloadSpec {
         decay: SimTime,
     },
     /// Replay a recorded JSONL arrival trace instead of sampling
-    /// background arrivals. The trace is injected through
-    /// [`MicroserviceEnv::inject_trace`](crate::MicroserviceEnv::inject_trace);
+    /// background arrivals. The trace is loaded by
+    /// [`MicroserviceEnv::load_workload_trace`](crate::MicroserviceEnv::load_workload_trace);
     /// background sampling is fully suppressed (factor 0, no RNG draws).
     TraceReplay {
-        /// Path to the trace file (`.jsonl` one arrival per line, or the
-        /// legacy `.json` array format).
+        /// Path to the JSONL trace file, one arrival per line.
         path: String,
     },
 }

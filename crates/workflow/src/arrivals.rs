@@ -1,15 +1,15 @@
-//! Workload generation: Poisson request processes, bursts, arrival traces.
+//! Arrival traces and request bursts.
 //!
 //! The paper drives its evaluation with (a) continuous workflow requests
 //! sampled from a Poisson process (§VI-A1) and (b) request bursts injected at
-//! the beginning of each evaluation run (§VI-D). [`PoissonProcess`] and
-//! [`BurstSpec`] model those two generators; both produce an
-//! [`ArrivalTrace`], a time-sorted list of workflow-request arrivals that the
-//! emulator replays.
+//! the beginning of each evaluation run (§VI-D). The Poisson background is
+//! sampled window by window inside the emulator (`microsim::WorkloadSpec`),
+//! which records it as an [`ArrivalTrace`]; [`BurstSpec`] materialises the
+//! front-loaded bursts as one. A trace is a time-sorted list of
+//! workflow-request arrivals that the emulator replays; its one file format
+//! is JSONL, one [`Arrival`] per line.
 
 use desim::SimTime;
-use rand::Rng;
-use rand_distr::{Distribution, Exp};
 use serde::{Deserialize, Serialize};
 
 use crate::WorkflowTypeId;
@@ -64,8 +64,8 @@ impl<'de> Deserialize<'de> for Arrival {
 /// A time-sorted sequence of workflow-request arrivals.
 ///
 /// Traces are the common currency between workload generators and the
-/// emulator: Poisson background and burst front-loads are generated
-/// separately and [merged](ArrivalTrace::merge) before a run.
+/// emulator: a recorded background replays through
+/// `MicroserviceEnv::inject_trace`, next to bursts injected on their own.
 ///
 /// # Examples
 ///
@@ -79,28 +79,9 @@ impl<'de> Deserialize<'de> for Arrival {
 /// // Pushes keep the trace sorted.
 /// assert_eq!(trace.arrivals()[0].time, SimTime::from_secs(1));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ArrivalTrace {
     arrivals: Vec<Arrival>,
-}
-
-// Deserialization re-establishes the sort invariant instead of trusting
-// the file's order: a hand-edited or externally recorded trace may be out
-// of order, and an unsorted `arrivals` vector would break `push`'s
-// partition-point insertion and the emulator's window attribution. The
-// sort is stable, so equal-time arrivals keep their file order.
-impl<'de> Deserialize<'de> for ArrivalTrace {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        #[derive(Deserialize)]
-        struct Raw {
-            arrivals: Vec<Arrival>,
-        }
-        let mut raw = Raw::deserialize(d)?;
-        raw.arrivals.sort_by_key(|a| a.time);
-        Ok(ArrivalTrace {
-            arrivals: raw.arrivals,
-        })
-    }
 }
 
 impl ArrivalTrace {
@@ -134,41 +115,9 @@ impl ArrivalTrace {
         self.arrivals.is_empty()
     }
 
-    /// Merges another trace into this one, preserving global time order.
-    pub fn merge(&mut self, other: ArrivalTrace) {
-        self.arrivals.extend(other.arrivals);
-        self.arrivals.sort_by_key(|a| a.time);
-    }
-
-    /// Saves the trace as JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing the file.
-    pub fn save_json<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
-        let json = serde_json::to_string(self).expect("traces always serialise");
-        std::fs::write(path, json)
-    }
-
-    /// Loads a trace previously written by [`ArrivalTrace::save_json`].
-    /// Arrivals are re-sorted defensively in case the file was edited.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error when the file cannot be read, or an
-    /// `InvalidData` error when it does not parse as a trace.
-    pub fn load_json<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        let mut trace: ArrivalTrace = serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        trace.arrivals.sort_by_key(|a| a.time);
-        Ok(trace)
-    }
-
-    /// Saves the trace as JSONL: one arrival object per line. The line
-    /// format streams and diffs better than the JSON array for large
-    /// recorded runs and is what the workload zoo's trace-replay mode
-    /// consumes.
+    /// Saves the trace as JSONL: one arrival object per line. This is the
+    /// trace file format: it streams and diffs well for large recorded runs
+    /// and is what the workload zoo's trace-replay mode consumes.
     ///
     /// # Errors
     ///
@@ -230,81 +179,6 @@ impl FromIterator<Arrival> for ArrivalTrace {
         let mut arrivals: Vec<Arrival> = iter.into_iter().collect();
         arrivals.sort_by_key(|a| a.time);
         ArrivalTrace { arrivals }
-    }
-}
-
-impl Extend<Arrival> for ArrivalTrace {
-    fn extend<I: IntoIterator<Item = Arrival>>(&mut self, iter: I) {
-        self.arrivals.extend(iter);
-        self.arrivals.sort_by_key(|a| a.time);
-    }
-}
-
-/// Independent Poisson request processes, one per workflow type.
-///
-/// This emulates the paper's continuous background workload: "We use Poisson
-/// process to emulate request traces for both workflow datasets" (§VI-A1).
-///
-/// # Examples
-///
-/// ```
-/// use desim::SimTime;
-/// use rand::SeedableRng;
-/// use workflow::PoissonProcess;
-///
-/// let process = PoissonProcess::new(vec![1.0, 0.5]);
-/// let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-/// let trace = process.generate(SimTime::from_secs(100), &mut rng);
-/// let counts = trace.counts(2);
-/// // Rates 1.0/s and 0.5/s over 100 s: roughly 100 and 50 arrivals.
-/// assert!(counts[0] > 60 && counts[0] < 140);
-/// assert!(counts[1] > 25 && counts[1] < 80);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PoissonProcess {
-    rates_per_sec: Vec<f64>,
-}
-
-impl PoissonProcess {
-    /// Creates a process with the given per-workflow-type rates
-    /// (requests per second). A rate of `0.0` disables that type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rate is negative or non-finite.
-    #[must_use]
-    pub fn new(rates_per_sec: Vec<f64>) -> Self {
-        for &r in &rates_per_sec {
-            assert!(r.is_finite() && r >= 0.0, "arrival rate must be >= 0");
-        }
-        PoissonProcess { rates_per_sec }
-    }
-
-    /// The configured rates.
-    #[must_use]
-    pub fn rates(&self) -> &[f64] {
-        &self.rates_per_sec
-    }
-
-    /// Samples arrivals over `[0, horizon)`.
-    pub fn generate<R: Rng + ?Sized>(&self, horizon: SimTime, rng: &mut R) -> ArrivalTrace {
-        let mut trace = Vec::new();
-        for (i, &rate) in self.rates_per_sec.iter().enumerate() {
-            if rate <= 0.0 {
-                continue;
-            }
-            let exp = Exp::new(rate).expect("validated rate");
-            let mut t = 0.0f64;
-            loop {
-                t += exp.sample(rng);
-                let at = SimTime::from_secs_f64(t);
-                if at >= horizon {
-                    break;
-                }
-                trace.push(Arrival::new(at, WorkflowTypeId::new(i)));
-            }
-        }
-        trace.into_iter().collect()
     }
 }
 
@@ -370,8 +244,6 @@ impl BurstSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn trace_push_keeps_sorted() {
@@ -383,54 +255,6 @@ mod tests {
         let mut sorted = times.clone();
         sorted.sort_unstable();
         assert_eq!(times, sorted);
-    }
-
-    #[test]
-    fn merge_interleaves() {
-        let mut a: ArrivalTrace = (0..5)
-            .map(|s| Arrival::new(SimTime::from_secs(s * 2), WorkflowTypeId::new(0)))
-            .collect();
-        let b: ArrivalTrace = (0..5)
-            .map(|s| Arrival::new(SimTime::from_secs(s * 2 + 1), WorkflowTypeId::new(1)))
-            .collect();
-        a.merge(b);
-        assert_eq!(a.len(), 10);
-        for w in a.arrivals().windows(2) {
-            assert!(w[0].time <= w[1].time);
-        }
-    }
-
-    #[test]
-    fn poisson_rate_zero_emits_nothing() {
-        let p = PoissonProcess::new(vec![0.0, 2.0]);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let trace = p.generate(SimTime::from_secs(50), &mut rng);
-        assert_eq!(trace.counts(2)[0], 0);
-        assert!(trace.counts(2)[1] > 0);
-    }
-
-    #[test]
-    fn poisson_is_deterministic_for_fixed_seed() {
-        let p = PoissonProcess::new(vec![0.7, 0.3]);
-        let t1 = p.generate(SimTime::from_secs(200), &mut SmallRng::seed_from_u64(42));
-        let t2 = p.generate(SimTime::from_secs(200), &mut SmallRng::seed_from_u64(42));
-        assert_eq!(t1, t2);
-    }
-
-    #[test]
-    fn poisson_mean_is_close_to_rate() {
-        let p = PoissonProcess::new(vec![2.0]);
-        let mut rng = SmallRng::seed_from_u64(9);
-        let horizon = SimTime::from_secs(2_000);
-        let n = p.generate(horizon, &mut rng).len() as f64;
-        let expected = 2.0 * 2_000.0;
-        assert!((n - expected).abs() < 4.0 * expected.sqrt() + 1.0, "n={n}");
-    }
-
-    #[test]
-    #[should_panic(expected = "arrival rate must be >= 0")]
-    fn negative_rate_panics() {
-        let _ = PoissonProcess::new(vec![-1.0]);
     }
 
     #[test]
@@ -450,21 +274,6 @@ mod tests {
     fn burst_paper_scenarios_total() {
         assert_eq!(BurstSpec::new(vec![300, 200, 300]).total(), 800);
         assert_eq!(BurstSpec::new(vec![100, 100, 50, 30]).total(), 280);
-    }
-
-    #[test]
-    fn trace_file_round_trip() {
-        let mut t = ArrivalTrace::new();
-        for s in [3u64, 1, 2] {
-            t.push(Arrival::new(SimTime::from_secs(s), WorkflowTypeId::new(0)));
-        }
-        let dir = std::env::temp_dir().join("miras_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.json");
-        t.save_json(&path).unwrap();
-        let back = ArrivalTrace::load_json(&path).unwrap();
-        assert_eq!(t, back);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -504,34 +313,6 @@ mod tests {
         let err = ArrivalTrace::load_jsonl(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("line 1"), "{err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn deserialized_trace_is_sorted_even_when_the_file_is_not() {
-        // Regression: the derived Deserialize used to trust the file's
-        // order, so an out-of-order trace violated the sorted contract
-        // that `push`'s partition-point insertion depends on.
-        let json = "{\"arrivals\":[\
-            {\"time_micros\":45000000,\"workflow_type\":1},\
-            {\"time_micros\":5000000,\"workflow_type\":0}]}";
-        let mut t: ArrivalTrace = serde_json::from_str(json).unwrap();
-        let times: Vec<u64> = t.arrivals().iter().map(|a| a.time.as_micros()).collect();
-        assert_eq!(times, vec![5_000_000, 45_000_000]);
-        // And push keeps working on the restored trace.
-        t.push(Arrival::new(SimTime::from_secs(20), WorkflowTypeId::new(2)));
-        let times: Vec<u64> = t.arrivals().iter().map(|a| a.time.as_micros()).collect();
-        assert_eq!(times, vec![5_000_000, 20_000_000, 45_000_000]);
-    }
-
-    #[test]
-    fn load_json_rejects_garbage() {
-        let dir = std::env::temp_dir().join("miras_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("garbage.json");
-        std::fs::write(&path, "not json").unwrap();
-        let err = ArrivalTrace::load_json(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,4 +1,4 @@
-//! Scientific-workflow definitions and workload generation.
+//! Scientific-workflow definitions, request bursts and arrival traces.
 //!
 //! This crate models everything the MIRAS paper's *workloads* consist of:
 //!
@@ -10,8 +10,9 @@
 //!   with the paper's two evaluation ensembles, [`Ensemble::msd`] (Material
 //!   Science Data: 3 workflows over 4 task types) and [`Ensemble::ligo`]
 //!   (LIGO inspiral analysis: 4 workflows over 9 task types),
-//! * [`arrivals`] — Poisson request processes, burst injections, and merged
-//!   arrival traces, mirroring §VI-A1 and §VI-D of the paper.
+//! * [`arrivals`] — arrival traces (stored as JSONL) and the burst
+//!   injections of §VI-D. The Poisson background of §VI-A1 is generated
+//!   and recorded by the emulator's `microsim::WorkloadSpec`.
 //!
 //! The DAG shapes are reconstructions (the paper never prints them); see
 //! `DESIGN.md` §3 for the rationale.
@@ -37,10 +38,8 @@ pub mod arrivals;
 mod dag;
 mod ensemble;
 mod ids;
-mod modulation;
 
-pub use arrivals::{Arrival, ArrivalTrace, BurstSpec, PoissonProcess};
+pub use arrivals::{Arrival, ArrivalTrace, BurstSpec};
 pub use dag::{Dag, DagError};
 pub use ensemble::{Ensemble, TaskTypeDef, WorkflowDef};
 pub use ids::{TaskTypeId, WorkflowTypeId};
-pub use modulation::{ModulatedPoisson, RatePattern};

@@ -9,24 +9,23 @@
 //!
 //! Run: `cargo run --release --example chaos_day`
 
-use miras::microsim::{Cluster, SimConfig};
+use miras::microsim::{record_workload_trace, Cluster, SimConfig, WorkloadSpec};
 use miras::prelude::*;
-use rand::SeedableRng;
 
 fn main() {
     let ensemble = Ensemble::msd();
     let horizon = SimTime::from_secs(3_600); // one simulated hour
 
-    // A load wave: base rates swinging ±80% over a 20-minute period.
-    let wave = ModulatedPoisson::new(
-        ensemble.default_arrival_rates().to_vec(),
-        RatePattern::Sine {
+    // A load wave: base rates swinging ±80% over a 20-minute period,
+    // recorded over the hour's 120 decision windows of 30 s.
+    let wave = EnvConfig::for_ensemble(&ensemble)
+        .with_seed(99)
+        .with_workload(WorkloadSpec::Diurnal {
             period: SimTime::from_secs(1_200),
             amplitude: 0.8,
-        },
-    );
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(99);
-    let trace = wave.generate(horizon, &mut rng);
+        });
+    let windows = (horizon.as_micros() / wave.window().as_micros()) as usize;
+    let trace = record_workload_trace(ensemble.clone(), wave, windows);
     println!(
         "generated {} arrivals over {} (diurnal wave)",
         trace.len(),

@@ -6,7 +6,9 @@
 //!   print per-window metrics,
 //! * `train`    — run the MIRAS training loop and save the agent as JSON,
 //! * `evaluate` — replay a saved agent against a workload,
-//! * `allocate` — one-shot: WIP vector in, consumer allocation out.
+//! * `allocate` — one-shot: WIP vector in, consumer allocation out,
+//! * `gen-trace` — record a workload shape's arrivals as a JSONL trace,
+//!   which `simulate`/`evaluate --trace` and `--workload trace:FILE` replay.
 //!
 //! Examples:
 //!
@@ -15,11 +17,14 @@
 //! miras-cli train --ensemble msd --iterations 12 --out agent.json
 //! miras-cli evaluate --agent agent.json --burst 500,500,500 --windows 25
 //! miras-cli allocate --agent agent.json --wip 12,3,40,7
+//! miras-cli gen-trace --ensemble msd --workload diurnal --horizon 600 --out gen.jsonl
+//! miras-cli simulate --ensemble msd --trace gen.jsonl --windows 5
 //! ```
 
 use std::collections::HashMap;
 use std::process::ExitCode;
 
+use miras::microsim::{record_workload_trace, WorkloadSpec};
 use miras::prelude::*;
 
 fn main() -> ExitCode {
@@ -59,7 +64,8 @@ commands:
   simulate  --ensemble msd|ligo|gpu-serve [--policy NAME] [--burst N,N,..]
             [--trace FILE] [--windows N] [--seed N]
             (NAME is any registry policy: uniform, wip-proportional,
-             stream/drs, heft, monad)
+             stream/drs, heft, monad; FILE is a JSONL trace, one arrival
+             per line, replayed on top of the Poisson background)
   train     --ensemble msd|ligo|gpu-serve [--iterations N] [--paper] [--smoke]
             [--seed N] [--out FILE] [--workers N] [--lanes B]
             (--workers 2+ runs the distributed actor-learner inner loop;
@@ -68,8 +74,9 @@ commands:
             [--trace FILE] [--windows N] [--seed N]
   allocate  --agent FILE --wip X,X,..
   gen-trace --ensemble msd|ligo|gpu-serve --out FILE [--horizon SECS] [--seed N]
-            [--pattern constant|sine|ramp|step] [--period SECS]
-            [--amplitude X] [--factor X] [--at SECS]";
+            [--workload stationary|diurnal|trending|flash-crowd]
+            (records the shape's arrivals at the ensemble's base rates over
+             whole 30 s windows covering SECS, and writes them as JSONL)";
 
 type Flags = HashMap<String, String>;
 
@@ -163,9 +170,10 @@ fn run_policy(
         env.inject_burst(&BurstSpec::new(counts));
     }
     if let Some(path) = trace_path {
-        let trace = ArrivalTrace::load_json(path).map_err(|e| format!("loading {path}: {e}"))?;
-        println!("replaying {} arrivals from {path}", trace.len());
-        env.inject_trace(&trace);
+        let n = env
+            .inject_trace_file(path)
+            .map_err(|e| format!("loading {path}: {e}"))?;
+        println!("replaying {n} arrivals from {path}");
     }
     println!(
         "{:>6} {:>10} {:>9} {:>13} {:>12} {:>24}",
@@ -312,39 +320,39 @@ fn evaluate(flags: &Flags) -> Result<(), String> {
 }
 
 fn gen_trace(flags: &Flags) -> Result<(), String> {
-    use miras::workflow::{ModulatedPoisson, RatePattern};
-    use rand::SeedableRng;
+    // Reject the retired --pattern/--period/--amplitude/--factor/--at
+    // rather than silently recording a stationary trace.
+    if let Some(name) = flags
+        .keys()
+        .find(|k| !["ensemble", "out", "horizon", "seed", "workload"].contains(&k.as_str()))
+    {
+        return Err(format!("gen-trace does not take --{name}"));
+    }
     let ensemble = ensemble_from(flags)?;
     let seed = numeric(flags, "seed", 42u64)?;
     let horizon_secs = numeric(flags, "horizon", 3_600u64)?;
     let out = flags.get("out").ok_or("--out FILE is required")?;
-    let pattern = match flags.get("pattern").map(String::as_str) {
-        Some("constant") | None => RatePattern::Constant,
-        Some("sine") => RatePattern::Sine {
-            period: SimTime::from_secs(numeric(flags, "period", 1_200u64)?),
-            amplitude: numeric(flags, "amplitude", 0.5f64)?,
-        },
-        Some("ramp") => RatePattern::Ramp {
-            from_factor: 1.0,
-            to_factor: numeric(flags, "factor", 2.0f64)?,
-            duration: SimTime::from_secs(horizon_secs),
-        },
-        Some("step") => RatePattern::Step {
-            at: SimTime::from_secs(numeric(flags, "at", horizon_secs / 2)?),
-            factor: numeric(flags, "factor", 2.0f64)?,
-        },
-        Some(other) => return Err(format!("unknown pattern '{other}'")),
-    };
-    let process = ModulatedPoisson::new(ensemble.default_arrival_rates().to_vec(), pattern);
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-    let trace = process.generate(SimTime::from_secs(horizon_secs), &mut rng);
+    let name = flags.get("workload").map_or("stationary", String::as_str);
+    let workload = WorkloadSpec::parse(name)
+        .filter(|w| !w.is_trace_replay())
+        .ok_or_else(|| {
+            format!("unknown workload '{name}' (stationary, diurnal, trending or flash-crowd)")
+        })?;
+    let config = EnvConfig::for_ensemble(&ensemble)
+        .with_seed(seed)
+        .with_workload(workload);
+    let window = config.window();
+    let windows = (horizon_secs as f64 / window.as_secs_f64()).ceil() as usize;
+    let num_types = ensemble.num_workflow_types();
+    let trace = record_workload_trace(ensemble, config, windows);
     trace
-        .save_json(out)
+        .save_jsonl(out)
         .map_err(|e| format!("writing {out}: {e}"))?;
     println!(
-        "wrote {} arrivals over {horizon_secs}s to {out} (counts per type: {:?})",
+        "wrote {} {name} arrivals over {windows} windows of {window} to {out} \
+         (counts per type: {:?})",
         trace.len(),
-        trace.counts(ensemble.num_workflow_types())
+        trace.counts(num_types)
     );
     Ok(())
 }

@@ -6,10 +6,10 @@
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
-//! * [`workflow`] — workflow DAGs, the MSD and LIGO ensembles, workload
-//!   generators,
+//! * [`workflow`] — workflow DAGs, the MSD and LIGO ensembles, request
+//!   bursts and arrival traces,
 //! * [`microsim`] — the discrete-event microservice-cluster emulator (the
-//!   "real environment"),
+//!   "real environment") and its workload generator, `WorkloadSpec`,
 //! * [`nn`] — the neural-network library (MLPs, Adam, parameter noise),
 //! * [`rl`] — DDPG with parameter-space exploration,
 //! * [`miras_core`] — the MIRAS pipeline: dynamics model, Lend–Giveback
@@ -65,8 +65,5 @@ pub mod prelude {
         RefinedModel, SyntheticEnv, TransitionDataset,
     };
     pub use rl::{Ddpg, DdpgConfig, Environment, Exploration};
-    pub use workflow::{
-        ArrivalTrace, BurstSpec, Dag, Ensemble, ModulatedPoisson, PoissonProcess, RatePattern,
-        TaskTypeId, WorkflowTypeId,
-    };
+    pub use workflow::{ArrivalTrace, BurstSpec, Dag, Ensemble, TaskTypeId, WorkflowTypeId};
 }

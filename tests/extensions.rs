@@ -2,7 +2,7 @@
 //! through the public API: CPU contention, failure injection, time-varying
 //! workloads, model ensembles, and the twin critic.
 
-use miras::microsim::{Cluster, SimConfig};
+use miras::microsim::{Cluster, SimConfig, WorkloadSpec};
 use miras::miras_core::EnsembleDynamics;
 use miras::prelude::*;
 
@@ -25,27 +25,20 @@ fn contention_and_failures_compose() {
 
 #[test]
 fn modulated_workload_drives_the_env() {
-    // A ramping workload replayed through the environment produces more
-    // arrivals late than early.
+    // A ramping workload drives the environment to more arrivals late
+    // than early.
     let ensemble = Ensemble::msd();
-    let process = ModulatedPoisson::new(
-        vec![0.3, 0.3, 0.3],
-        RatePattern::Ramp {
+    let config = EnvConfig::for_ensemble(&ensemble)
+        .with_seed(8)
+        .with_arrival_rates(vec![0.3, 0.3, 0.3])
+        .with_workload(WorkloadSpec::Trending {
             from_factor: 0.1,
             to_factor: 3.0,
             duration: SimTime::from_secs(600),
-        },
-    );
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(8);
-    let trace = process.generate(SimTime::from_secs(600), &mut rng);
-
-    let config = EnvConfig::for_ensemble(&ensemble)
-        .with_seed(8)
-        .with_arrival_rates(vec![0.0; 3]); // only the injected trace
+            exponential: false,
+        });
     let mut env = MicroserviceEnv::new(ensemble, config);
     let _ = env.reset();
-    env.inject_trace(&trace);
     let mut per_window = Vec::new();
     for _ in 0..20 {
         let out = env.step(&[4, 4, 4, 2]);
